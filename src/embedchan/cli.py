@@ -40,6 +40,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _fmt(x: float) -> str:
     if x is None or (isinstance(x, float) and math.isnan(x)):
         return "nan"
@@ -87,11 +98,11 @@ def _add_common(p: argparse.ArgumentParser, sweep_flags: bool = True) -> None:
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None,
                    help="output format (default depends on command)")
-    p.add_argument("--k", action="append", type=float, default=None,
+    p.add_argument("--k", action="append", type=_finite_float, default=None,
                    help="transverse momentum, repeatable")
     if sweep_flags:
-        p.add_argument("--emin", type=float, default=-2.5)
-        p.add_argument("--emax", type=float, default=2.5)
+        p.add_argument("--emin", type=_finite_float, default=-2.5)
+        p.add_argument("--emax", type=_finite_float, default=2.5)
         p.add_argument("--npts", type=int, default=200)
 
 
@@ -385,48 +396,48 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("channels", help="channel eigenvalue sweep")
     _add_common(p)
-    p.add_argument("--eta", type=float, default=1e-6)
+    p.add_argument("--eta", type=_finite_float, default=1e-6)
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.set_defaults(func=_cmd_channels)
 
     p = sub.add_parser("bloch", help="Bloch factors at one energy")
     _add_common(p, sweep_flags=False)
-    p.add_argument("--e", type=float, required=True)
+    p.add_argument("--e", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_bloch)
 
     p = sub.add_parser("transmit", help="transmission sweep, both routes")
     _add_common(p)
-    p.add_argument("--eta", type=float, default=1e-6)
+    p.add_argument("--eta", type=_finite_float, default=1e-6)
     p.set_defaults(func=_cmd_transmit)
 
     p = sub.add_parser("scatter", help="scattered wave for one incident channel")
     _add_common(p, sweep_flags=False)
-    p.add_argument("--e", type=float, required=True)
-    p.add_argument("--eta", type=float, default=1e-8)
+    p.add_argument("--e", type=_finite_float, required=True)
+    p.add_argument("--eta", type=_finite_float, default=1e-8)
     p.add_argument("--channel", type=int, default=0)
     p.set_defaults(func=_cmd_scatter)
 
     p = sub.add_parser("fit-edge", help="band-edge exponent fit")
     _add_common(p, sweep_flags=False)
-    p.add_argument("--e0", type=float, required=True)
-    p.add_argument("--wmin", type=float, default=1e-4)
-    p.add_argument("--wmax", type=float, default=1e-2)
+    p.add_argument("--e0", type=_finite_float, required=True)
+    p.add_argument("--wmin", type=_finite_float, default=1e-4)
+    p.add_argument("--wmax", type=_finite_float, default=1e-2)
     p.add_argument("--npts", type=int, default=48)
-    p.add_argument("--eta", type=float, default=1e-6)
+    p.add_argument("--eta", type=_finite_float, default=1e-6)
     p.add_argument("--side", choices=("above", "below"), default="above")
     p.set_defaults(func=_cmd_fit_edge)
 
     p = sub.add_parser("peaks", help="eigenvalue peak detection vs eta")
     _add_common(p)
-    p.add_argument("--eta", action="append", type=float, default=None,
+    p.add_argument("--eta", action="append", type=_finite_float, default=None,
                    help="imaginary energy, must be given at least twice")
     p.set_defaults(func=_cmd_peaks)
 
     p = sub.add_parser("validate", help="run invariant checks at sampled energies")
     _add_common(p, sweep_flags=False)
-    p.add_argument("--emin", type=float, default=-2.5)
-    p.add_argument("--emax", type=float, default=2.5)
-    p.add_argument("--eta", type=float, default=1e-8)
+    p.add_argument("--emin", type=_finite_float, default=-2.5)
+    p.add_argument("--emax", type=_finite_float, default=2.5)
+    p.add_argument("--eta", type=_finite_float, default=1e-8)
     p.set_defaults(func=_cmd_validate)
 
     return parser

@@ -14,6 +14,7 @@ condition, and carries all flux information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,13 @@ def surface_green(
     # absolute tolerance at order-unity norms; scale-relative next to a
     # self-energy pole, where float64 cannot do better than |g| * eps
     tol_eff = tol * max(1.0, float(np.abs(g).max()) if np.isfinite(res) else 1.0)
-    if res > tol_eff:
+    if not res <= tol_eff:
         g2 = _mode_matching(h00, h01, z)
         res2 = _fixed_point_residual(g2, h00, h01, z)
-        if not (res2 >= res):
+        if res2 < res:  # a NaN res2 keeps the decimation result
             g, res = g2, res2
         tol_eff = tol * max(1.0, float(np.abs(g).max()))
-    if res > tol_eff:
+    if not res <= tol_eff:
         raise DecimationError(
             f"surface Green function did not converge after {max_iter} doublings "
             f"(last residual {res:.3e} > {tol_eff:g})",
@@ -201,7 +202,7 @@ def embedding_potential(
     sigma = blocks.h01 @ g @ blocks.h01.conj().T
     ident = (z * np.eye(blocks.n) - blocks.h00 - sigma) @ g - np.eye(blocks.n)
     res = float(np.abs(ident).max())
-    if res > 1e-9 * max(1.0, float(np.abs(g).max())):
+    if not res <= 1e-9 * max(1.0, float(np.abs(g).max())):
         raise DecimationError(
             f"(z - h00 - Sigma) g = 1 violated with residual {res:.3e}", residual=res
         )
@@ -221,9 +222,13 @@ def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
     """
     m = (sig.sigma - sig.sigma.conj().T) / 2j
     m = (m + m.conj().T) / 2.0
-    top = float(np.linalg.eigvalsh(m).max()) if m.size else 0.0
     norm = float(np.abs(m).max()) if m.size else 0.0
-    if top > max(TAU_PSD, 1e-12 * norm):
+    top = 0.0
+    if m.size:
+        # eigvalsh does not propagate NaN (it can return zeros), so a
+        # non-finite m gets top = nan and fails the gate
+        top = float(np.linalg.eigvalsh(m).max()) if math.isfinite(norm) else math.nan
+    if not top <= max(TAU_PSD, 1e-12 * norm):
         raise DecimationError(
             f"anti-Hermitian part has positive eigenvalue {top:.3e}; "
             "the retarded branch was not selected"

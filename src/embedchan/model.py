@@ -22,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -87,10 +88,17 @@ def _as_matrix(obj: Any, path: str) -> Array:
     return np.array(rows, dtype=complex)
 
 
+def _check_finite(m: Array, name: str) -> None:
+    bad = ~np.isfinite(m)
+    if bad.any():
+        i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        raise ModelValidationError(f"{name} has a non-finite entry {m[i, j]} at ({i}, {j})")
+
+
 def _check_hermitian(m: Array, name: str, tol: float = HERMITICITY_TOL) -> None:
     dev = np.abs(m - m.conj().T)
     worst = float(dev.max()) if dev.size else 0.0
-    if worst > tol:
+    if not worst <= tol:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
         raise HermiticityError(
             f"{name} is not Hermitian within {tol:g}: violation at ({i}, {j}) "
@@ -138,6 +146,8 @@ class LatticeSpec:
                 raise DimensionError(
                     f"h01 shape {h01.shape} must equal h00 shape {h00.shape}"
                 )
+            _check_finite(h00, "h00")
+            _check_finite(h01, "h01")
             _check_hermitian(h00, "h00")
             object.__setattr__(self, "h00", _readonly(h00))
             object.__setattr__(self, "h01", _readonly(h01))
@@ -250,6 +260,7 @@ class DeviceSpec:
         cr = np.asarray(self.coupling_right, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionError(f"device h must be square, got shape {h.shape}")
+        _check_finite(h, "device h")
         _check_hermitian(h, "device h")
         n_dev = h.shape[0]
         for name, c in (("coupling_left", cl), ("coupling_right", cr)):
@@ -257,6 +268,7 @@ class DeviceSpec:
                 raise DimensionError(
                     f"{name} shape {c.shape} incompatible with device h shape {h.shape}"
                 )
+            _check_finite(c, name)
         s_l = tuple(int(j) for j in np.where(np.abs(cl).sum(axis=0) > 0)[0])
         s_r = tuple(int(j) for j in np.where(np.abs(cr).sum(axis=0) > 0)[0])
         if n_dev > 1 and set(s_l) & set(s_r):
@@ -432,30 +444,87 @@ def parse_model_file(path: str) -> Model:
         return parse_model(fh.read())
 
 
-def _matrix_to_json(m: Array) -> list[list[list[float]]]:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
+# Every matrix of the canonical document sits at nesting depth 2: in
+# ``device`` and in an explicit lead's object.
+_MATRIX_LEVEL = 2
+# json.dumps text of the placeholder string "\0<n>" that stands for matrix n
+_MATRIX_SLOT = re.compile(r'"\\u0000(\d+)"')
 
 
-def _lead_to_json(spec: LatticeSpec) -> dict[str, Any]:
-    if spec.kind == "explicit":
-        return {"h00": _matrix_to_json(spec.h00), "h01": _matrix_to_json(spec.h01)}
-    return {"preset": spec.kind, "params": dict(spec.params)}
+def _matrix_parts(m: Array) -> Iterator[str]:
+    """``json.dumps(..., indent=2)`` text of a complex matrix as rows of [re, im]
+    pairs at nesting depth ``_MATRIX_LEVEL``, one piece per matrix row.
+
+    One ``%r`` template per row formats the row's Python floats (``tolist``,
+    not numpy scalars, whose repr differs); ``float.__repr__`` is what
+    ``json`` writes for a float, so the text is the one ``json.dumps`` would
+    produce.  The model classes reject NaN and infinities, which ``json``
+    would spell differently.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    rows, cols = m.shape
+    if not rows:
+        yield "[]"
+        return
+    ind = ["\n" + "  " * (_MATRIX_LEVEL + d) for d in range(4)]
+    pair = f"[{ind[3]}%r,{ind[3]}%r{ind[2]}]"
+    row = f"[{ind[2]}" + f",{ind[2]}".join([pair] * cols) + f"{ind[1]}]" if cols else "[]"
+    re_im = m.view(np.float64)  # each row interleaves re, im
+    yield f"[{ind[1]}"
+    for r in range(rows):
+        yield row % tuple(re_im[r].tolist()) + (f",{ind[1]}" if r + 1 < rows else f"{ind[0]}]")
+
+
+def _model_parts(model: Model) -> Iterator[str]:
+    """The canonical text of a model in pieces no larger than a matrix row.
+
+    ``json.dumps`` writes the document with a placeholder string for each
+    matrix; the placeholders are then replaced by ``_matrix_parts`` text.
+    Preset names and parameters are validated identifiers and numbers, so no
+    other string in the document can look like a placeholder.
+    """
+    matrices: list[Array] = []
+
+    def slot(m: Array) -> str:
+        matrices.append(m)
+        return f"\0{len(matrices) - 1}"
+
+    def lead(spec: LatticeSpec) -> dict[str, Any]:
+        if spec.kind == "explicit":
+            return {"h00": slot(spec.h00), "h01": slot(spec.h01)}
+        return {"preset": spec.kind, "params": dict(spec.params)}
+
+    dev = model.device
+    doc = {
+        "lead_left": lead(model.lead_l),
+        "lead_right": lead(model.lead_r),
+        "device": {
+            "h": slot(dev.h_c),
+            "coupling_left": slot(dev.coupling_left),
+            "coupling_right": slot(dev.coupling_right),
+        },
+    }
+    pieces = _MATRIX_SLOT.split(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    for n, piece in enumerate(pieces):  # text, matrix index, text, ..., text
+        if n % 2:
+            yield from _matrix_parts(matrices[int(piece)])
+        else:
+            yield piece
 
 
 def serialize_model(model: Model) -> str:
-    """Canonical JSON for a model; re-parsing reproduces identical blocks."""
-    doc = {
-        "lead_left": _lead_to_json(model.lead_l),
-        "lead_right": _lead_to_json(model.lead_r),
-        "device": {
-            "h": _matrix_to_json(model.device.h_c),
-            "coupling_left": _matrix_to_json(model.device.coupling_left),
-            "coupling_right": _matrix_to_json(model.device.coupling_right),
-        },
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Canonical JSON for a model; re-parsing reproduces identical blocks.
+
+    The text is ``json.dumps(doc, sort_keys=True, indent=2)`` of the document
+    with every matrix entry written as a ``[re, im]`` pair; the matrices are
+    formatted directly, so the cost is linear in their size.
+    """
+    return "".join(_model_parts(model))
 
 
 def model_hash(model: Model) -> str:
-    """Stable hash of the canonical serialized form."""
-    return hashlib.sha256(serialize_model(model).encode("utf-8")).hexdigest()
+    """Stable hash of the canonical serialized form, fed to sha256 piece by piece."""
+    h = hashlib.sha256()
+    for part in _model_parts(model):
+        h.update(part.encode("utf-8"))
+    return h.hexdigest()

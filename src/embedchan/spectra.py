@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from .embed import (
 )
 from .bloch import TAU_PROP
 from .errors import EmbedchanError, ModelValidationError
-from .model import Model, build_lead_blocks, model_hash
+from .model import HamiltonianBlocks, Model, build_lead_blocks, model_hash
 from .transport import TransmissionResult, device_green, transmission
 
 
@@ -94,6 +94,12 @@ class PointSolution:
     result: TransmissionResult
 
 
+def _same_blocks(a: HamiltonianBlocks, b: HamiltonianBlocks) -> bool:
+    """Same lead blocks at the same momentum (a periodic and a non-periodic
+    lead with equal arrays still differ in k)."""
+    return a.k == b.k and np.array_equal(a.h00, b.h00) and np.array_equal(a.h01, b.h01)
+
+
 def solve_point(
     model: Model,
     e: float,
@@ -105,16 +111,20 @@ def solve_point(
 
     The device resolvent uses eta = 0 while both leads are open (the lead
     self-energies already provide the imaginary part) and falls back to the
-    supplied eta inside gaps.
+    supplied eta inside gaps.  Sigma and its channels belong to the lead
+    alone, so when both leads have the same blocks at the same k they are
+    computed once and the right side reuses them.
     """
     blocks_l = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
     blocks_r = build_lead_blocks(model.lead_r, k if model.lead_r.requires_momentum else None)
+    same = _same_blocks(blocks_l, blocks_r)
     sig_l = embedding_potential(blocks_l, e, eta, side="left")
-    sig_r = embedding_potential(blocks_r, e, eta, side="right")
+    sig_r = (replace(sig_l, side="right") if same
+             else embedding_potential(blocks_r, e, eta, side="right"))
     im_l = anti_hermitian_part(sig_l)
-    im_r = anti_hermitian_part(sig_r)
+    im_r = replace(im_l, side="right") if same else anti_hermitian_part(sig_r)
     ch_l = channel_decomposition(im_l, tau_open)
-    ch_r = channel_decomposition(im_r, tau_open)
+    ch_r = replace(ch_l, side="right") if same else channel_decomposition(im_r, tau_open)
     eta_dev = 0.0 if (ch_l.n_open > 0 and ch_r.n_open > 0) else eta
     gdev = device_green(model.device, sig_l, sig_r, e, eta_dev)
     res = transmission(gdev, im_l, im_r, ch_l, ch_r)
@@ -226,7 +236,8 @@ def fit_band_edge(
         raise ModelValidationError(
             f"window lower edge {dmin:g} overlaps the broadening region 10*eta = {10*eta:g}"
         )
-    pts = [r for r in sweep_result.records if r.ok and r.k is sweep_result.k_list[0]]
+    # records are energy-major, len(k_list) per energy: take the first k's
+    pts = [r for r in sweep_result.records[::len(sweep_result.k_list)] if r.ok]
     above = [(r.e - e0, _leading_lambda(r)) for r in pts if dmin <= r.e - e0 <= dmax]
     below = [(e0 - r.e, _leading_lambda(r)) for r in pts if dmin <= e0 - r.e <= dmax]
     if side == "auto":

@@ -9,6 +9,7 @@ inter-layer bond; scaling a C entry by c rescales that contact bond by c.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,11 @@ def embed_self_energy(coupling: Array, sigma: Array) -> Array:
     return coupling.conj().T @ sigma @ coupling
 
 
+def _cond(a: Array) -> float:
+    # the SVD behind np.linalg.cond raises on NaN or infinite entries
+    return float(np.linalg.cond(a)) if np.isfinite(a).all() else math.nan
+
+
 def device_green(
     device: DeviceSpec,
     sig_l: EmbeddingPotential,
@@ -84,17 +90,19 @@ def device_green(
     try:
         g = np.linalg.solve(a, np.eye(n, dtype=complex))
     except np.linalg.LinAlgError:
+        cond = _cond(a)
         raise SingularSolveError(
             f"singular device solve at E={e:g}, eta={eta:g} "
-            f"(cond ~ {np.linalg.cond(a):.3e}); typically a bound state in a gap",
-            cond=float(np.linalg.cond(a)),
+            f"(cond ~ {cond:.3e}); typically a bound state in a gap",
+            cond=cond,
         ) from None
     res = float(np.abs(a @ g - np.eye(n)).max())
-    if res > GREEN_IDENTITY_TOL:
+    if not res <= GREEN_IDENTITY_TOL:
+        cond = _cond(a)
         raise SingularSolveError(
             f"device Green identity residual {res:.3e} at E={e:g} "
-            f"(cond ~ {np.linalg.cond(a):.3e})",
-            cond=float(np.linalg.cond(a)),
+            f"(cond ~ {cond:.3e})",
+            cond=cond,
         )
     g_lr = cl @ g @ cr.conj().T
     g_rl = cr @ g @ cl.conj().T

@@ -165,3 +165,41 @@ def test_stdout_output(chain_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("E,k,T_trace")
+
+
+# every float flag of every command that has it; the other flags are valid
+_FLOAT_FLAGS = [
+    ("transmit", "--eta", []),
+    ("transmit", "--emin", []),
+    ("transmit", "--emax", []),
+    ("transmit", "--k", []),
+    ("channels", "--eta", []),
+    ("peaks", "--eta", ["--eta=1e-6"]),
+    ("bloch", "--e", []),
+    ("scatter", "--e", []),
+    ("scatter", "--eta", ["--e=0.1"]),
+    ("fit-edge", "--e0", []),
+    ("fit-edge", "--wmin", ["--e0=2.0"]),
+    ("fit-edge", "--wmax", ["--e0=2.0"]),
+    ("fit-edge", "--eta", ["--e0=2.0"]),
+    ("validate", "--emin", []),
+    ("validate", "--emax", []),
+    ("validate", "--eta", []),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+@pytest.mark.parametrize("command, flag, extra", _FLOAT_FLAGS)
+def test_non_finite_float_flag_exit_code(chain_file, tmp_path, capsys, command, flag, extra,
+                                         value):
+    out = tmp_path / "x"
+    assert run([command, "--model", chain_file, "--out", str(out), *extra, f"{flag}={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: argument {flag}: must be a finite number")
+    assert not out.exists()
+
+
+def test_non_numeric_float_flag_message(chain_file, capsys):
+    assert run(["transmit", "--model", chain_file, "--eta", "abc"]) == 1
+    assert capsys.readouterr().err == "error: argument --eta: invalid float value: 'abc'\n"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from embedchan import (
+    DecimationError,
     LatticeSpec,
     anti_hermitian_part,
     build_lead_blocks,
@@ -9,6 +10,7 @@ from embedchan import (
     embedding_potential,
     surface_green,
 )
+from embedchan import embed
 from embedchan.embed import EmbeddingPotential
 
 from helpers import chain_g, chain_velocity, ladder_mode_basis, truncated_lead_sigma
@@ -170,3 +172,47 @@ def test_truncation_oracle_evanescent_energies():
         sig = embedding_potential(blocks, e, 1e-6)
         oracle = truncated_lead_sigma(blocks.h00, blocks.h01, e, 1e-6)
         assert np.abs(sig.sigma - oracle).max() <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# residual gates written so that a NaN residual fails them
+
+
+def _nan_matrix(n=1):
+    return np.full((n, n), np.nan, dtype=complex)
+
+
+def test_surface_green_gate_rejects_nan_from_both_routes(monkeypatch):
+    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: _nan_matrix())
+    monkeypatch.setattr(embed, "_mode_matching", lambda h00, h01, z: _nan_matrix())
+    with pytest.raises(DecimationError):
+        surface_green(chain_blocks(), 0.3, 1e-8)
+
+
+def test_surface_green_fallback_pick_keeps_finite_result(monkeypatch):
+    # decimation misses the tolerance and the fallback returns NaN: the NaN
+    # result must neither be picked nor pass the final gate
+    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: np.array([[0.1j]]))
+    monkeypatch.setattr(embed, "_mode_matching", lambda h00, h01, z: _nan_matrix())
+    with pytest.raises(DecimationError) as info:
+        surface_green(chain_blocks(), 0.3, 1e-8)
+    assert np.isfinite(info.value.residual)
+
+
+def test_surface_green_fallback_still_rescues(monkeypatch):
+    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: _nan_matrix())
+    g = surface_green(chain_blocks(), 0.3, 1e-8)
+    assert g[0, 0] == pytest.approx(chain_surface_green_exact(0.3, 1.0, 1e-8), abs=1e-10)
+
+
+def test_embedding_potential_gate_rejects_nan(monkeypatch):
+    monkeypatch.setattr(embed, "surface_green", lambda blocks, e, eta: _nan_matrix())
+    with pytest.raises(DecimationError):
+        embedding_potential(chain_blocks(), 0.3, 1e-8)
+
+
+def test_anti_hermitian_part_gate_rejects_nan():
+    # LAPACK returns finite eigenvalues for a matrix holding NaN; the gate must not rely on them
+    sig = EmbeddingPotential(sigma=np.array([[np.nan, 0.0], [0.0, -1j]]), energy=0.0, eta=1e-8)
+    with pytest.raises(DecimationError):
+        anti_hermitian_part(sig)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -6,11 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from embedchan import (
+    DeviceSpec,
     DimensionError,
+    HamiltonianBlocks,
     HermiticityError,
     LatticeSpec,
+    Model,
     ModelValidationError,
     build_lead_blocks,
+    model_hash,
     parse_model,
     parse_model_dict,
     serialize_model,
@@ -205,3 +210,167 @@ def test_blocks_are_readonly():
     blocks = build_lead_blocks(model.lead_l)
     with pytest.raises(ValueError):
         blocks.h00[0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# canonical serialization and model_hash
+
+
+def _reference_text(model) -> str:
+    """The canonical text as json.dumps writes it: matrices as [re, im] pairs."""
+
+    def mat(m):
+        return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, complex)]
+
+    def lead(spec):
+        if spec.kind == "explicit":
+            return {"h00": mat(spec.h00), "h01": mat(spec.h01)}
+        return {"preset": spec.kind, "params": dict(spec.params)}
+
+    doc = {
+        "lead_left": lead(model.lead_l),
+        "lead_right": lead(model.lead_r),
+        "device": {
+            "h": mat(model.device.h_c),
+            "coupling_left": mat(model.device.coupling_left),
+            "coupling_right": mat(model.device.coupling_right),
+        },
+    }
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# values whose text is easy to get wrong: signed zero, subnormals, huge, tiny
+_AWKWARD = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, 1.0 / 3.0, 0.1)
+
+
+def _random_model(rng, n_dev: int, n_lead: int):
+    def awkward(shape):
+        m = rng.normal(size=shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+        mask = rng.random(shape) < 0.3
+        m[mask] = rng.choice(_AWKWARD, size=int(mask.sum()))
+        return m
+
+    h00 = awkward((n_lead, n_lead)) + 1j * awkward((n_lead, n_lead))
+    h00 = np.triu(h00, 1) + np.triu(h00, 1).conj().T + np.diag(awkward(n_lead))
+    h01 = awkward((n_lead, n_lead)) + 1j * awkward((n_lead, n_lead))
+    h = awkward((n_dev, n_dev))
+    h = np.triu(h, 1) + np.triu(h, 1).T + np.diag(awkward(n_dev))
+    cl = np.zeros((n_lead, n_dev), complex)
+    cr = np.zeros((1, n_dev), complex)
+    cl[:, 0] = awkward(n_lead) + 1j * awkward(n_lead)
+    cr[0, n_dev - 1] = 1.0
+    lead_l = LatticeSpec(kind="explicit", h00=h00, h01=h01)
+    lead_r = LatticeSpec(kind="chain", params={"t": float(rng.uniform(0.5, 2.0)), "eps": -0.0})
+    device = DeviceSpec(h_c=h, coupling_left=cl, coupling_right=cr)
+    return Model(lead_l=lead_l, lead_r=lead_r, device=device)
+
+
+@pytest.mark.parametrize("n_dev", [1, 2, 3, 7, 16, 64])
+def test_serialize_model_matches_json_dumps(n_dev):
+    rng = np.random.default_rng(n_dev)
+    for n_lead in (1, 2, 5):
+        model = _random_model(rng, n_dev, n_lead)
+        reference = _reference_text(model)
+        assert serialize_model(model) == reference
+        assert model_hash(model) == hashlib.sha256(reference.encode("utf-8")).hexdigest()
+
+
+def test_serialize_model_matches_json_dumps_presets():
+    for model in (impurity_chain_model(), impurity_chain_model(eps_imp=-0.0, t=2)):
+        assert serialize_model(model) == _reference_text(model)
+    model = parse_model_dict({
+        "lead_left": {"preset": "square_strip", "params": {"t": 1, "width": 4, "periodic": True}},
+        "lead_right": {"preset": "ladder", "params": {"t_perp": 0.25, "t_diag": 1e-300}},
+        "device": {"h": [[0.0, -1.0], [-1.0, 0.0]],
+                   "coupling_left": [[1.0, 0.0]],
+                   "coupling_right": [[0.0, 1.0], [0.0, 5e-324]]},
+    })
+    assert serialize_model(model) == _reference_text(model)
+
+
+# model_hash values of the canonical text, recorded when serialize_model was
+# json.dumps of the whole document; they are pure Python and platform-free.
+_GOLDEN_HASHES = {
+    "9562bf1a77d449f4cf80e9a78f32244e7ebfe3f35561d0371a2331586d82abc0": {
+        "lead_left": {"preset": "chain", "params": {"t": 1.0}},
+        "lead_right": {"preset": "chain", "params": {"t": 1.0}},
+        "device": {"h": [[1.0]], "coupling_left": [[1.0]], "coupling_right": [[1.0]]},
+    },
+    "ad3f779c075ae162eafd02a17df16aa2136ded4bddd81d261b1911114ae3146e": {
+        "lead_left": {"preset": "ladder", "params": {"t": 1.0, "t_perp": 0.5}},
+        "lead_right": {"h00": [[0.0]], "h01": [[[-1.0, 0.0]]]},
+        "device": {"h": [[0.0, -0.25], [-0.25, 0.5]],
+                   "coupling_left": [[1.0, 0.0], [0.0, 0.0]],
+                   "coupling_right": [[0.0, 1.0]]},
+    },
+    "19f5caa1733b72de08fe749739b6b243a69a6f1a33245bc8793ab5a154fab79d": {
+        "lead_left": {"preset": "square_strip",
+                      "params": {"t": 1, "width": 32, "periodic": True}},
+        "lead_right": {"preset": "square_strip",
+                       "params": {"t": 1.0, "width": 32, "periodic": True, "eps": -0.0}},
+        "device": {"h": [[0.1, -1.0], [-1.0, -0.2]],
+                   "coupling_left": [[1.0, 0.0]], "coupling_right": [[0.0, 1.0]]},
+    },
+    "40046de9a202896ba673689040deb592560166824ef64bafad982ef02c52c6d1": {
+        "lead_left": {"h00": [[1e300, [0.5, -0.25]], [[0.5, 0.25], -5e-324]],
+                      "h01": [[[0.1, 1e-310], -0.0], [[0.0, -0.0], [1.0, 2.0]]]},
+        "lead_right": {"preset": "dimer_chain",
+                       "params": {"t1": 0.3, "t2": 1.7, "eps": 0.05}},
+        "device": {"h": [[0.0, [0.0, 1.0 / 3.0]], [[0.0, -1.0 / 3.0], 2.5]],
+                   "coupling_left": [[1.0, 0.0], [0.0, 0.0]],
+                   "coupling_right": [[0.0, 1.0], [0.0, 0.0]]},
+    },
+}
+
+
+def test_serialize_model_matches_json_dumps_empty_device():
+    chain = LatticeSpec(kind="chain")
+    device = DeviceSpec(h_c=np.zeros((0, 0)), coupling_left=np.zeros((1, 0)),
+                        coupling_right=np.zeros((1, 0)))
+    model = Model(lead_l=chain, lead_r=chain, device=device)
+    assert serialize_model(model) == _reference_text(model)
+
+
+@pytest.mark.parametrize("digest", sorted(_GOLDEN_HASHES))
+def test_model_hash_golden(digest):
+    assert model_hash(parse_model_dict(_GOLDEN_HASHES[digest])) == digest
+
+
+# ---------------------------------------------------------------------------
+# non-finite model matrices
+
+
+def _chain_doc(**device):
+    doc = {"lead_left": {"preset": "chain"}, "lead_right": {"preset": "chain"},
+           "device": {"h": [[0.0]], "coupling_left": [[1.0]], "coupling_right": [[1.0]]}}
+    doc["device"].update(device)
+    return doc
+
+
+@pytest.mark.parametrize("field", ["h", "coupling_left", "coupling_right"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+def test_device_matrix_non_finite_rejected(field, bad):
+    with pytest.raises(ModelValidationError, match=f"{field}.*non-finite"):
+        parse_model_dict(_chain_doc(**{field: [[bad]]}))
+
+
+@pytest.mark.parametrize("block", ["h00", "h01"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [1.0, -math.inf]])
+def test_explicit_lead_non_finite_rejected(block, bad):
+    lead = {"h00": [[0.0]], "h01": [[-1.0]]}
+    lead[block] = [[bad]]
+    doc = _chain_doc()
+    doc["lead_right"] = lead
+    with pytest.raises(ModelValidationError, match=f"lead_right.{block}.*non-finite"):
+        parse_model_dict(doc)
+
+
+def test_non_finite_rejected_from_json_text():
+    # json accepts the NaN and Infinity literals, so the text route must reject them too
+    with pytest.raises(ModelValidationError, match="non-finite"):
+        parse_model(json.dumps(_chain_doc(h=[[math.nan]])))
+
+
+def test_hermiticity_gate_rejects_nan():
+    with pytest.raises(HermiticityError):
+        HamiltonianBlocks(h00=np.array([[math.nan]]), h01=np.array([[-1.0]]))

@@ -1,11 +1,23 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from embedchan import (
+    LatticeSpec,
     ModelValidationError,
+    SweepResult,
+    anti_hermitian_part,
+    build_lead_blocks,
+    channel_decomposition,
     detect_peaks,
+    embedding_potential,
     fit_band_edge,
+    fold_momentum,
     parse_model_dict,
+    solve_point,
+    spectra,
     sweep,
 )
 
@@ -216,3 +228,123 @@ def test_transmission_discrepancy_small_through_sweep():
     res = sweep(model, np.linspace(-2.5, 2.5, 101), eta=1e-10)
     for r in res.records:
         assert r.ok and r.discrepancy <= 1e-9
+
+
+def test_fit_band_edge_matches_k_by_value():
+    # records whose k equals k_list[0] but is a different float object
+    model = periodic_strip_model()
+    k0 = 1.25
+    edge = -2.0 - 2.0 * math.cos(k0)
+    grid = sorted(edge + d for d in np.logspace(-4, -2, 40))
+    result = sweep(model, grid, eta=1e-8, k_list=[k0, 2.5])
+    records = tuple(replace(r, k=float(repr(r.k))) for r in result.records)
+    rebuilt = SweepResult(grid=result.grid, k_list=result.k_list, records=records,
+                          metadata=result.metadata)
+    assert rebuilt.records[0].k == rebuilt.k_list[0]
+    assert rebuilt.records[0].k is not rebuilt.k_list[0]
+    fit = fit_band_edge(rebuilt, edge, (1e-4, 1e-2), side="above")
+    assert fit == fit_band_edge(result, edge, (1e-4, 1e-2), side="above")
+    assert fit.n_points == 40
+    assert fit.exponent == pytest.approx(0.5, abs=0.02)
+
+
+def test_fit_band_edge_repeated_k_fits_first_k_once():
+    # a repeated k (distinct float objects, as argparse makes them) gives the
+    # same fit as the single k: its records are not fitted twice
+    model = periodic_strip_model()
+    k0 = 1.25
+    edge = -2.0 - 2.0 * math.cos(k0)
+    grid = sorted(edge + d for d in np.logspace(-4, -2, 40))
+    once = fit_band_edge(sweep(model, grid, eta=1e-8, k_list=[k0]), edge, (1e-4, 1e-2),
+                         side="above")
+    twice = sweep(model, grid, eta=1e-8, k_list=[k0, float(repr(k0))])
+    assert twice.k_list[0] == twice.k_list[1] and twice.k_list[0] is not twice.k_list[1]
+    assert fit_band_edge(twice, edge, (1e-4, 1e-2), side="above") == once
+    assert once.n_points == 40
+
+
+# ---------------------------------------------------------------------------
+# one lead evaluation when both leads are the same
+
+
+def _count_lead_evaluations(monkeypatch):
+    calls = []
+
+    def counted(blocks, e, eta, side="left"):
+        calls.append(side)
+        return embedding_potential(blocks, e, eta, side=side)
+
+    monkeypatch.setattr(spectra, "embedding_potential", counted)
+    return calls
+
+
+def _assert_right_side_independent(model, sol, e, eta, k=None):
+    blocks_r = build_lead_blocks(model.lead_r, k if model.lead_r.requires_momentum else None)
+    sig = embedding_potential(blocks_r, e, eta, side="right")
+    im = anti_hermitian_part(sig)
+    ch = channel_decomposition(im)
+    assert sol.sig_r.side == sol.im_r.side == sol.channels_r.side == "right"
+    assert sol.sig_l.side == sol.im_l.side == sol.channels_l.side == "left"
+    assert sol.sig_r.k == sig.k and sol.channels_r.k == ch.k
+    assert np.array_equal(sol.sig_r.sigma, sig.sigma)
+    assert np.array_equal(sol.sig_r.surface_g, sig.surface_g)
+    assert np.array_equal(sol.im_r.matrix, im.matrix)
+    for name in ("lambdas", "vectors_unit_norm", "open_mask", "vectors_unit_flux"):
+        assert np.array_equal(getattr(sol.channels_r, name), getattr(ch, name)), name
+    assert sol.channels_r.tau_open == ch.tau_open
+
+
+@pytest.mark.parametrize("make, e, k", [
+    (impurity_chain_model, 0.3, None),
+    (impurity_chain_model, 2.5, None),  # gap: no open channel
+    (perfect_ladder_model, -0.7, None),
+    (periodic_strip_model, 0.4, 0.9),
+])
+def test_identical_leads_evaluated_once(monkeypatch, make, e, k):
+    model = make()
+    calls = _count_lead_evaluations(monkeypatch)
+    sol = solve_point(model, e, 1e-8, k)
+    assert calls == ["left"]
+    _assert_right_side_independent(model, sol, e, 1e-8, k)
+
+
+def test_different_leads_evaluated_twice(monkeypatch):
+    model = parse_model_dict({
+        "lead_left": chain_lead(),
+        "lead_right": chain_lead(t=1.5),
+        "device": {"h": [[0.2]], "coupling_left": [[1.0]], "coupling_right": [[1.0]]},
+    })
+    calls = _count_lead_evaluations(monkeypatch)
+    sol = solve_point(model, 0.3, 1e-8)
+    assert calls == ["left", "right"]
+    _assert_right_side_independent(model, sol, 0.3, 1e-8)
+    assert not np.array_equal(sol.sig_l.sigma, sol.sig_r.sigma)
+
+
+def test_equal_arrays_at_different_k_evaluated_twice(monkeypatch):
+    # a periodic lead next to an explicit one whose blocks equal it at this k
+    k = 1.1
+    strip = {"preset": "square_strip", "params": {"t": 1.0, "width": 4, "periodic": True}}
+    h00 = complex(build_lead_blocks(LatticeSpec(kind="square_strip", params=strip["params"]),
+                                    k).h00[0, 0])
+    model = parse_model_dict({
+        "lead_left": strip,
+        "lead_right": {"h00": [[[h00.real, h00.imag]]], "h01": [[-1.0]]},
+        "device": {"h": [[0.0, -1.0], [-1.0, 0.0]],
+                   "coupling_left": [[1.0, 0.0]], "coupling_right": [[0.0, 1.0]]},
+    })
+    calls = _count_lead_evaluations(monkeypatch)
+    sol = solve_point(model, 0.1, 1e-8, k)
+    assert calls == ["left", "right"]
+    assert sol.sig_l.k == fold_momentum(k) and sol.sig_r.k is None
+    assert np.array_equal(sol.sig_l.sigma, sol.sig_r.sigma)
+    _assert_right_side_independent(model, sol, 0.1, 1e-8, k)
+
+
+def test_identical_leads_sweep_matches_independent_right_side():
+    model = perfect_ladder_model()
+    result = sweep(model, np.linspace(-3.5, 3.5, 15), eta=1e-6)
+    for r in result.records:
+        sol = solve_point(model, r.e, 1e-6)
+        _assert_right_side_independent(model, sol, r.e, 1e-6)
+        assert r.lambdas_r == tuple(float(x) for x in sol.channels_r.lambdas)

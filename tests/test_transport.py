@@ -13,6 +13,7 @@ from embedchan import (
     t_matrix,
     transmission,
 )
+from embedchan.embed import EmbeddingPotential
 
 from helpers import (
     chain_lead,
@@ -212,3 +213,13 @@ def test_t_matrix_signature_matches_transmission():
     res = transmission(gdev, sol.im_l, sol.im_r, sol.channels_l, sol.channels_r)
     assert np.array_equal(t, res.t)
     assert res.discrepancy <= 1e-9
+
+
+def test_device_green_gate_rejects_nan():
+    # a NaN self-energy makes the solve return NaN without raising; the
+    # identity gate must catch it, and reporting the condition must not raise
+    model = impurity_chain_model()
+    sig = embedding_potential(build_lead_blocks(model.lead_l), 0.3, ETA)
+    bad = EmbeddingPotential(sigma=np.array([[np.nan]], complex), energy=0.3, eta=ETA)
+    with pytest.raises(SingularSolveError, match="residual nan"):
+        device_green(model.device, sig, bad, 0.3, 0.0)
