@@ -75,9 +75,16 @@ def channel_decomposition(im_sigma: ImSigma, tau_open: float | None = None) -> C
     largest-magnitude component is real positive, making outputs reproducible.
     Zero open channels is a valid outcome.
     """
+    (lam,), (vecs,) = np.linalg.eigh(im_sigma.matrix[None])
+    return _basis(lam, vecs, im_sigma.energy, im_sigma.eta, im_sigma.side, im_sigma.k,
+                  tau_open)
+
+
+def _basis(lam: Array, vecs: Array, energy: float, eta: float, side: str,
+           k: float | None, tau_open: float | None) -> ChannelBasis:
+    """Channel basis of one point from its slice of a stacked ``eigh``."""
     if tau_open is None:
-        tau_open = default_tau_open(im_sigma.eta)
-    lam, vecs = np.linalg.eigh(im_sigma.matrix)
+        tau_open = default_tau_open(eta)
     vecs = fix_phase(vecs)
     open_mask = lam < -tau_open
     lam_open = lam[open_mask]
@@ -91,10 +98,10 @@ def channel_decomposition(im_sigma: ImSigma, tau_open: float | None = None) -> C
         vectors_unit_norm=vecs,
         open_mask=open_mask,
         vectors_unit_flux=u,
-        energy=im_sigma.energy,
-        eta=im_sigma.eta,
-        side=im_sigma.side,
-        k=im_sigma.k,
+        energy=energy,
+        eta=eta,
+        side=side,
+        k=k,
         tau_open=float(tau_open),
     )
 

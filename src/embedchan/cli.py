@@ -13,6 +13,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 
@@ -22,7 +23,7 @@ from . import __version__
 from .bloch import bloch_states
 from .errors import EmbedchanError, ModelValidationError
 from .model import Model, build_lead_blocks, model_hash, parse_model_file
-from .spectra import detect_peaks, fit_band_edge, solve_point, sweep
+from .spectra import detect_peaks, device_eta, fit_band_edge, solve_point, sweep
 from .transport import device_green, right_surface_wave, scattered_wave
 
 EXIT_OK = 0
@@ -35,6 +36,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents, so "--k -1.6e-05" would read
+        # "-1.6e-05" as an option; every negative float literal is a value
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with code 2 on bad flags; the contract wants 1.
     def error(self, message):
         raise _UsageError(message)
@@ -247,8 +254,8 @@ def _cmd_scatter(args) -> int:
         raise ModelValidationError(
             f"--channel {args.channel} out of range (0..{ch.n_open - 1})"
         )
-    eta_dev = 0.0 if (sol.channels_l.n_open > 0 and sol.channels_r.n_open > 0) else args.eta
-    gdev = device_green(model.device, sol.sig_l, sol.sig_r, args.e, eta_dev)
+    gdev = device_green(model.device, sol.sig_l, sol.sig_r, args.e,
+                        device_eta(ch.n_open, sol.channels_r.n_open, args.eta))
     psi_inc = ch.vectors_unit_flux[:, args.channel]
     chi = scattered_wave(gdev, sol.im_l, psi_inc)
     chi_r = right_surface_wave(gdev, chi)

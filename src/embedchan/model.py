@@ -96,7 +96,8 @@ def _check_finite(m: Array, name: str) -> None:
 
 
 def _check_hermitian(m: Array, name: str, tol: float = HERMITICITY_TOL) -> None:
-    dev = np.abs(m - m.conj().T)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the gate
+        dev = np.abs(m - m.conj().T)
     worst = float(dev.max()) if dev.size else 0.0
     if not worst <= tol:
         i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
@@ -233,7 +234,9 @@ class HamiltonianBlocks:
             raise DimensionError(f"h00 must be square, got shape {h00.shape}")
         if h01.shape != h00.shape:
             raise DimensionError(f"h01 shape {h01.shape} must equal h00 shape {h00.shape}")
+        # a non-finite h00 entry fails the Hermiticity gate (HermiticityError)
         _check_hermitian(h00, "h00")
+        _check_finite(h01, "h01")
         object.__setattr__(self, "h00", _readonly(h00))
         object.__setattr__(self, "h01", _readonly(h01))
         object.__setattr__(self, "n", h00.shape[0])

@@ -8,19 +8,42 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .channels import ChannelBasis, channel_decomposition, default_tau_open
+from .channels import ChannelBasis, _basis, channel_decomposition, default_tau_open
 from .embed import (
     DEFAULT_ETA_SWEEP,
     TAU_PSD,
     EmbeddingPotential,
     ImSigma,
+    _lead_stack,
     anti_hermitian_part,
     embedding_potential,
 )
 from .bloch import TAU_PROP
 from .errors import EmbedchanError, ModelValidationError
-from .model import HamiltonianBlocks, Model, build_lead_blocks, model_hash
-from .transport import TransmissionResult, device_green, transmission
+from .model import (
+    Array,
+    HamiltonianBlocks,
+    LatticeSpec,
+    Model,
+    build_lead_blocks,
+    model_hash,
+)
+from .transport import (
+    GREEN_IDENTITY_TOL,
+    TransmissionResult,
+    _contact_block,
+    _device_matrix,
+    _device_solve,
+    _transmission,
+    device_green,
+    transmission,
+)
+
+# Sweeps push their points through every layer in stacks of at most this many
+# complex entries per stacked array: n^2 per point for a lead of surface
+# dimension n, N^2 for a device of N sites.  A 256-site device is then solved
+# one point at a time, and memory stays bounded for any grid.
+_STACK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,6 +123,17 @@ def _same_blocks(a: HamiltonianBlocks, b: HamiltonianBlocks) -> bool:
     return a.k == b.k and np.array_equal(a.h00, b.h00) and np.array_equal(a.h01, b.h01)
 
 
+def _check_eta(eta: float) -> None:
+    if not eta > 0.0:
+        raise ModelValidationError(f"eta must be > 0, got {eta!r}")
+
+
+def device_eta(n_open_l: int, n_open_r: int, eta: float) -> float:
+    """eta of the device resolvent: 0 while both leads have open channels
+    (their self-energies already supply the imaginary part), else the lead eta."""
+    return 0.0 if (n_open_l > 0 and n_open_r > 0) else eta
+
+
 def solve_point(
     model: Model,
     e: float,
@@ -115,6 +149,7 @@ def solve_point(
     alone, so when both leads have the same blocks at the same k they are
     computed once and the right side reuses them.
     """
+    _check_eta(eta)
     blocks_l = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
     blocks_r = build_lead_blocks(model.lead_r, k if model.lead_r.requires_momentum else None)
     same = _same_blocks(blocks_l, blocks_r)
@@ -125,8 +160,7 @@ def solve_point(
     im_r = replace(im_l, side="right") if same else anti_hermitian_part(sig_r)
     ch_l = channel_decomposition(im_l, tau_open)
     ch_r = replace(ch_l, side="right") if same else channel_decomposition(im_r, tau_open)
-    eta_dev = 0.0 if (ch_l.n_open > 0 and ch_r.n_open > 0) else eta
-    gdev = device_green(model.device, sig_l, sig_r, e, eta_dev)
+    gdev = device_green(model.device, sig_l, sig_r, e, device_eta(ch_l.n_open, ch_r.n_open, eta))
     res = transmission(gdev, im_l, im_r, ch_l, ch_r)
     return PointSolution(sig_l, sig_r, im_l, im_r, ch_l, ch_r, res)
 
@@ -154,38 +188,20 @@ def sweep(
     """Channel and transmission records over an energy grid (times a k list).
 
     Per-point numerical failures are recorded in the point's status field and
-    do not abort the sweep.
+    do not abort the sweep.  The k-summed totals of an energy are NaN when
+    any of its k points failed.
+
+    The points go through each layer in stacks (see :func:`_sweep_records`);
+    every record is the one :func:`solve_point` gives for its point.
     """
     grid = tuple(float(e) for e in e_grid)
     if not grid:
         raise ModelValidationError("energy grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelValidationError("energy grid must be strictly increasing")
-    if eta <= 0.0:
-        raise ModelValidationError("eta must be > 0 for channel-eigenvalue sweeps")
+    _check_eta(eta)
     ks = _normalize_k_list(model, k_list)
-    records: list[PointRecord] = []
-    for e in grid:
-        for k in ks:
-            try:
-                sol = solve_point(model, e, eta, k, tau_open)
-                r = sol.result
-                records.append(
-                    PointRecord(
-                        e=e,
-                        k=k,
-                        status="ok",
-                        lambdas_l=tuple(float(x) for x in sol.channels_l.lambdas),
-                        lambdas_r=tuple(float(x) for x in sol.channels_r.lambdas),
-                        n_open_l=sol.channels_l.n_open,
-                        n_open_r=sol.channels_r.n_open,
-                        t_trace=r.total_trace,
-                        t_channel_sum=r.total_channel_sum,
-                        discrepancy=r.discrepancy,
-                    )
-                )
-            except EmbedchanError as exc:
-                records.append(PointRecord(e=e, k=k, status=f"error: {exc}"))
+    records = _sweep_records(model, grid, ks, eta, tau_open)
     metadata = {
         "model_hash": model_hash(model),
         "eta": float(eta),
@@ -197,16 +213,136 @@ def sweep(
     k_trace = k_channel = None
     if len(ks) > 1:
         k_trace, k_channel = [], []
-        for i, e in enumerate(grid):
+        for i in range(len(grid)):
             chunk = records[i * len(ks):(i + 1) * len(ks)]
-            oks = [r for r in chunk if r.ok]
-            k_trace.append(sum(r.t_trace for r in oks))
-            k_channel.append(sum(r.t_channel_sum for r in oks))
+            failed = not all(r.ok for r in chunk)
+            k_trace.append(math.nan if failed else sum(r.t_trace for r in chunk))
+            k_channel.append(math.nan if failed else sum(r.t_channel_sum for r in chunk))
         k_trace, k_channel = tuple(k_trace), tuple(k_channel)
     return SweepResult(
         grid=grid, k_list=ks, records=tuple(records), metadata=metadata,
         k_summed_trace=k_trace, k_summed_channel=k_channel,
     )
+
+
+def _record(e: float, k: float | None, ch_l: ChannelBasis, ch_r: ChannelBasis,
+            r: TransmissionResult) -> PointRecord:
+    return PointRecord(
+        e=e,
+        k=k,
+        status="ok",
+        lambdas_l=tuple(ch_l.lambdas.tolist()),
+        lambdas_r=tuple(ch_r.lambdas.tolist()),
+        n_open_l=ch_l.n_open,
+        n_open_r=ch_r.n_open,
+        t_trace=r.total_trace,
+        t_channel_sum=r.total_channel_sum,
+        discrepancy=r.discrepancy,
+    )
+
+
+def _point_record(model: Model, e: float, eta: float, k: float | None,
+                  tau_open: float | None) -> PointRecord:
+    """The record of one point through :func:`solve_point`, failure included."""
+    try:
+        sol = solve_point(model, e, eta, k, tau_open)
+    except EmbedchanError as exc:
+        return PointRecord(e=e, k=k, status=f"error: {exc}")
+    return _record(e, k, sol.channels_l, sol.channels_r, sol.result)
+
+
+def _lead_blocks(spec: LatticeSpec, ks) -> list[HamiltonianBlocks]:
+    return [build_lead_blocks(spec, k if spec.requires_momentum else None) for k in ks]
+
+
+def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None, ...],
+                   eta: float, tau_open: float | None) -> list[PointRecord]:
+    """Records of every (E, k) point, energy-major, each the one
+    :func:`solve_point` gives.
+
+    The points go through the layers in stacks: the decimation with its
+    gates, Sigma, ImSigma and its NSD guard, the channel ``eigh``, the device
+    solve with its identity gate and g_rl.  Only the transmission, whose
+    open-channel counts differ between points, runs point by point.  Every
+    stacked array holds at most ``_STACK_ENTRIES`` complex entries.  A point
+    that fails a gate, and every point of a stack whose LAPACK call raised,
+    goes through :func:`solve_point` instead, which holds the mode-matching
+    fallback and the error text.  When both leads have the same blocks at
+    every k, the right side reuses the left stack.
+    """
+    blocks_l, blocks_r = _lead_blocks(model.lead_l, ks), _lead_blocks(model.lead_r, ks)
+    same = all(_same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
+    leads = [(np.stack([b.h00 for b in bs]), np.stack([b.h01 for b in bs]))
+             for bs in ([blocks_l] if same else [blocks_l, blocks_r])]
+    n = max(blocks_l[0].n, blocks_r[0].n)
+    step = max(1, _STACK_ENTRIES // (n * n))
+    points = [(e, k) for e in grid for k in ks]
+    energies = np.repeat(np.array(grid), len(ks))
+    kidx = np.tile(np.arange(len(ks)), len(grid))
+    records: list[PointRecord] = []
+    for start in range(0, len(points), step):
+        stop = min(start + step, len(points))
+        records += _stack_records(model, points[start:stop], energies[start:stop],
+                                  kidx[start:stop], leads, eta, tau_open)
+    return records
+
+
+def _complex(re: Array, im) -> Array:
+    """complex(re, im) elementwise; unlike re + 1j * im it keeps the sign of a
+    zero real part."""
+    z = np.empty(len(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _at(h: Array, kidx: Array) -> Array:
+    """Blocks ``h`` (one per k) at each point's k; a view when there is one k."""
+    return np.broadcast_to(h[0], (len(kidx),) + h.shape[1:]) if len(h) == 1 else h[kidx]
+
+
+def _stack_records(model: Model, points: list[tuple[float, float | None]], energies: Array,
+                   kidx: Array, leads: list[tuple[Array, Array]], eta: float,
+                   tau_open: float | None) -> list[PointRecord]:
+    """Records of one stack of points (see :func:`_sweep_records`); ``leads``
+    holds h00 and h01 of each distinct lead at every k, ``kidx`` the k of
+    each point."""
+    z = _complex(energies, eta)
+    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z) for h00, h01 in leads]
+    (sig_l, im_l, _, ok_l), (sig_r, im_r, _, ok_r) = sides[0], sides[-1]
+    idx = np.flatnonzero(ok_l & ok_r)
+    eig = []
+    if idx.size:
+        try:
+            eig = [np.linalg.eigh(im[idx]) for _, im, _, _ in sides]
+        except np.linalg.LinAlgError:  # one failed slice fails the whole stack
+            idx = idx[:0]
+    tau = default_tau_open(eta) if tau_open is None else tau_open
+    n_open = [np.count_nonzero(lam < -tau, axis=1) for lam, _ in eig]
+    eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])] if eig else []
+    z_dev = _complex(energies[idx], eta_dev)
+
+    dev = model.device
+    records: list[PointRecord | None] = [None] * len(points)
+    step = max(1, _STACK_ENTRIES // dev.n_device ** 2)
+    for start in range(0, len(idx), step):
+        sel = idx[start:start + step]
+        try:
+            g, res = _device_solve(
+                _device_matrix(dev, sig_l[sel], sig_r[sel], z_dev[start:start + step]))
+        except np.linalg.LinAlgError:  # one singular slice fails the whole stack
+            continue
+        g_rl = _contact_block(dev.coupling_right, g, dev.coupling_left)
+        del g  # keep g_rl only: one N x N stack alive at a time
+        for j, p in enumerate(sel):
+            if res[j] <= GREEN_IDENTITY_TOL:
+                e, k = points[p]
+                i = start + j
+                ch = [_basis(lam[i], vecs[i], e, eta, side, k, tau)
+                      for (lam, vecs), side in zip(eig, ("left", "right"))]
+                r = _transmission(g_rl[j], im_l[p], im_r[p], ch[0], ch[-1], e, eta_dev[i])
+                records[p] = _record(e, k, ch[0], ch[-1], r)
+    return [rec if rec is not None else _point_record(model, e, eta, k, tau_open)
+            for rec, (e, k) in zip(records, points)]
 
 
 def _leading_lambda(record: PointRecord) -> float:
@@ -268,6 +404,26 @@ def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float
     sig = embedding_potential(blocks, e, eta, side="left")
     im = anti_hermitian_part(sig)
     return float(np.abs(np.linalg.eigvalsh(im.matrix)).max())
+
+
+def _max_lambdas(model: Model, grid: tuple[float, ...], eta: float,
+                 k: float | None) -> Array:
+    """:func:`_max_lambda_at` at every grid energy, the lead evaluated on
+    stacks of points; a point that fails a gate goes through
+    :func:`_max_lambda_at` itself, in grid order."""
+    (blocks,) = _lead_blocks(model.lead_l, (k,))
+    n = blocks.n
+    step = max(1, _STACK_ENTRIES // (n * n))
+    vals = np.empty(len(grid))
+    for start in range(0, len(grid), step):
+        e = np.array(grid[start:start + step])
+        shape = (len(e), n, n)
+        *_, w, ok = _lead_stack(np.broadcast_to(blocks.h00, shape),
+                                np.broadcast_to(blocks.h01, shape), _complex(e, eta))
+        vals[start:start + len(e)] = np.abs(w).max(axis=1)
+        for i in np.flatnonzero(~ok):
+            vals[start + i] = _max_lambda_at(model, grid[start + i], eta, k)
+    return vals
 
 
 def _golden_max(f, a: float, b: float, tol: float) -> float:
@@ -333,6 +489,7 @@ def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> Peak
     etas = sorted(float(x) for x in eta_list)
     if len(etas) < 2:
         raise ModelValidationError("eta_list must contain at least two values")
+    _check_eta(etas[0])
     if etas[-1] < 10.0 * etas[0]:
         raise ModelValidationError("eta_list values must differ by at least a factor of 10")
     grid = tuple(float(e) for e in e_grid)
@@ -342,7 +499,7 @@ def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> Peak
         raise ModelValidationError("model is transverse-periodic: a k value is required")
 
     eta0 = etas[0]
-    vals = np.array([_max_lambda_at(model, e, eta0, k) for e in grid])
+    vals = _max_lambdas(model, grid, eta0, k)
     candidates = []
     for i in range(1, len(grid) - 1):
         if not (vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]):

@@ -64,6 +64,32 @@ def _cond(a: Array) -> float:
     return float(np.linalg.cond(a)) if np.isfinite(a).all() else math.nan
 
 
+def _device_matrix(device: DeviceSpec, sigma_l: Array, sigma_r: Array, z: Array) -> Array:
+    """The stack A_b = z_b - H_C - C_l^dag Sigma_l C_l - C_r^dag Sigma_r C_r for
+    self-energies of shape (B, n, n) and complex energies of shape (B,)."""
+    a = z[:, None, None] * np.eye(device.n_device)
+    a -= device.h_c  # in place: one N x N array per point at a time
+    a -= embed_self_energy(device.coupling_left, sigma_l)
+    a -= embed_self_energy(device.coupling_right, sigma_r)
+    return a
+
+
+def _device_solve(a: Array) -> tuple[Array, Array]:
+    """g = A^-1 for a stack of device matrices, and the Green identity
+    residuals max|A g - 1|.  A singular slice raises ``LinAlgError`` for the
+    whole stack."""
+    g = np.linalg.inv(a)  # the LAPACK solve against the identity, without a copy of it
+    r = a @ g
+    r -= np.eye(a.shape[-1])
+    return g, np.abs(r).max(axis=(1, 2))
+
+
+def _contact_block(c_out: Array, g: Array, c_in: Array) -> Array:
+    """Restriction C_out g C_in^dag of a device Green function (or a stack)
+    to two lead-surface spaces."""
+    return c_out @ g @ c_in.conj().T
+
+
 def device_green(
     device: DeviceSpec,
     sig_l: EmbeddingPotential,
@@ -79,33 +105,27 @@ def device_green(
     """
     if eta < 0.0:
         raise ValueError("eta must be >= 0")
-    n = device.n_device
     cl, cr = device.coupling_left, device.coupling_right
-    a = (
-        complex(e, eta) * np.eye(n)
-        - device.h_c
-        - embed_self_energy(cl, sig_l.sigma)
-        - embed_self_energy(cr, sig_r.sigma)
-    )
+    a = _device_matrix(device, sig_l.sigma[None], sig_r.sigma[None],
+                       np.array([complex(e, eta)]))
     try:
-        g = np.linalg.solve(a, np.eye(n, dtype=complex))
+        (g,), (res,) = _device_solve(a)
     except np.linalg.LinAlgError:
-        cond = _cond(a)
+        cond = _cond(a[0])
         raise SingularSolveError(
             f"singular device solve at E={e:g}, eta={eta:g} "
             f"(cond ~ {cond:.3e}); typically a bound state in a gap",
             cond=cond,
         ) from None
-    res = float(np.abs(a @ g - np.eye(n)).max())
     if not res <= GREEN_IDENTITY_TOL:
-        cond = _cond(a)
+        cond = _cond(a[0])
         raise SingularSolveError(
             f"device Green identity residual {res:.3e} at E={e:g} "
             f"(cond ~ {cond:.3e})",
             cond=cond,
         )
-    g_lr = cl @ g @ cr.conj().T
-    g_rl = cr @ g @ cl.conj().T
+    g_lr = _contact_block(cl, g, cr)
+    g_rl = _contact_block(cr, g, cl)
     for m in (g, g_lr, g_rl):
         m.setflags(write=False)
     return DeviceGreenFunction(
@@ -167,12 +187,17 @@ def transmission(
     the two totals agree to numerical precision; their difference is reported
     as ``discrepancy``.
     """
-    t = t_matrix(gdev.g_rl, channels_l, channels_r)
+    return _transmission(gdev.g_rl, im_l.matrix, im_r.matrix, channels_l, channels_r,
+                         gdev.energy, gdev.eta)
+
+
+def _transmission(g_rl: Array, im_l: Array, im_r: Array, channels_l: ChannelBasis,
+                  channels_r: ChannelBasis, energy: float, eta: float) -> TransmissionResult:
+    """:func:`transmission` from the arrays it reads."""
+    t = t_matrix(g_rl, channels_l, channels_r)
     t_sq = np.abs(t) ** 2
     total_sum = float(t_sq.sum())
-    total_trace = float(
-        np.real(4.0 * np.trace(im_l.matrix @ gdev.g_rl.conj().T @ im_r.matrix @ gdev.g_rl))
-    )
+    total_trace = float(np.real(4.0 * np.trace(im_l @ g_rl.conj().T @ im_r @ g_rl)))
     for m in (t, t_sq):
         m.setflags(write=False)
     return TransmissionResult(
@@ -181,8 +206,8 @@ def transmission(
         total_channel_sum=total_sum,
         total_trace=total_trace,
         discrepancy=abs(total_sum - total_trace),
-        energy=gdev.energy,
-        eta=gdev.eta,
+        energy=energy,
+        eta=eta,
         n_open_l=channels_l.n_open,
         n_open_r=channels_r.n_open,
     )

@@ -6,7 +6,13 @@ import pytest
 from embedchan.cli import run_cli
 from embedchan import serialize_model
 
-from helpers import dimer_model, impurity_chain_model, parse_model_dict, chain_lead
+from helpers import (
+    chain_lead,
+    dimer_model,
+    impurity_chain_model,
+    parse_model_dict,
+    periodic_strip_model,
+)
 
 
 @pytest.fixture()
@@ -203,3 +209,68 @@ def test_non_finite_float_flag_exit_code(chain_file, tmp_path, capsys, command, 
 def test_non_numeric_float_flag_message(chain_file, capsys):
     assert run(["transmit", "--model", chain_file, "--eta", "abc"]) == 1
     assert capsys.readouterr().err == "error: argument --eta: invalid float value: 'abc'\n"
+
+
+# ---------------------------------------------------------------------------
+# a non-positive eta is a validation error in every command that takes one
+
+_ETA_CASES = [
+    ("scatter", ["--e=0.1", "--eta=0"]),
+    ("scatter", ["--e=0.1", "--eta=-1e-8"]),
+    ("validate", ["--eta=0"]),
+    ("validate", ["--eta=-1e-8"]),
+    ("peaks", ["--eta=0", "--eta=1e-6"]),
+    ("peaks", ["--eta=-1e-7", "--eta=1e-6"]),
+    ("transmit", ["--eta=0"]),
+    ("channels", ["--eta=-1e-6"]),
+    ("fit-edge", ["--e0=2.0", "--eta=0"]),
+]
+
+
+@pytest.mark.parametrize("command, extra", _ETA_CASES)
+def test_non_positive_eta_exit_code(chain_file, tmp_path, capsys, command, extra):
+    out = tmp_path / "x"
+    assert run([command, "--model", chain_file, "--out", str(out), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: eta must be > 0")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# negative numbers in scientific notation are values, not options
+
+
+@pytest.fixture()
+def strip_file(tmp_path):
+    path = tmp_path / "strip.json"
+    path.write_text(serialize_model(periodic_strip_model(width=4)))
+    return str(path)
+
+
+@pytest.mark.parametrize("k", ["-1.6e-05", "-2E+0", "-.5e-1", "-3."])
+def test_negative_exponent_k_is_a_value(strip_file, tmp_path, k):
+    out = tmp_path / "t.csv"
+    assert run(["transmit", "--model", strip_file, "--k", k, "--npts", "3",
+                "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3
+    assert {float(r.split(",")[1]) for r in rows} == {float(k)}
+
+
+def test_negative_exponent_e_is_a_value(chain_file, tmp_path):
+    out = tmp_path / "b.csv"
+    assert run(["bloch", "--model", chain_file, "--e", "-1e-3", "--out", str(out)]) == 0
+    assert float(out.read_text().splitlines()[1].split(",")[0]) == -1e-3
+
+
+def test_negative_exponent_emin_is_a_value(chain_file, tmp_path):
+    out = tmp_path / "c.csv"
+    assert run(["channels", "--model", chain_file, "--emin", "-1e-3", "--emax", "1e-3",
+                "--npts", "3", "--out", str(out)]) == 0
+    assert float(out.read_text().splitlines()[1].split(",")[0]) == -1e-3
+
+
+def test_non_number_after_flag_still_an_option(chain_file, capsys):
+    assert run(["bloch", "--model", chain_file, "--e", "-x"]) == 1
+    assert "expected one argument" in capsys.readouterr().err

@@ -374,3 +374,15 @@ def test_non_finite_rejected_from_json_text():
 def test_hermiticity_gate_rejects_nan():
     with pytest.raises(HermiticityError):
         HamiltonianBlocks(h00=np.array([[math.nan]]), h01=np.array([[-1.0]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1.0, -math.inf)])
+def test_lead_blocks_non_finite_h01_rejected(bad):
+    with pytest.raises(ModelValidationError, match="h01 has a non-finite entry"):
+        HamiltonianBlocks(h00=np.array([[0.0]]), h01=np.array([[bad]]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_lead_blocks_non_finite_h00_rejected(bad):
+    with pytest.raises(ModelValidationError):
+        HamiltonianBlocks(h00=np.array([[bad]]), h01=np.array([[-1.0]]))
