@@ -131,16 +131,25 @@ def _sweep_metadata(sweep_result) -> dict:
     return dict(sweep_result.metadata)
 
 
+def _report_failures(sweep_result) -> None:
+    """One stderr line when points failed; their rows hold nan fields."""
+    failed = sum(not r.ok for r in sweep_result.records)
+    if failed:
+        sys.stderr.write(f"{failed} of {len(sweep_result.records)} points failed\n")
+
+
 def _cmd_channels(args) -> int:
     model = _load(args)
     result = sweep(model, _grid(args), eta=args.eta, k_list=args.k)
     side = args.side
+    _report_failures(result)
     if (args.format or "csv") == "csv":
+        n = (model.lead_l if side == "left" else model.lead_r).surface_dim
         lines = ["E,k,index,lambda,open"]
         for r in result.records:
-            if not r.ok:
-                continue
             lams = r.lambdas_l if side == "left" else r.lambdas_r
+            if not r.ok:  # one row per channel index, none of them open
+                lams = [math.nan] * n
             n_open = r.n_open_l if side == "left" else r.n_open_r
             for idx, lam in enumerate(lams):
                 is_open = 1 if idx < n_open else 0
@@ -166,14 +175,14 @@ def _cmd_channels(args) -> int:
 def _cmd_transmit(args) -> int:
     model = _load(args)
     result = sweep(model, _grid(args), eta=args.eta, k_list=args.k)
+    _report_failures(result)
     if (args.format or "csv") == "csv":
         lines = ["E,k,T_trace,T_channel_sum,discrepancy,n_open_l,n_open_r"]
         for r in result.records:
-            if not r.ok:
-                continue
+            n_open = f"{r.n_open_l},{r.n_open_r}" if r.ok else "nan,nan"
             lines.append(
                 f"{_fmt(r.e)},{_fmt_k(r.k)},{_fmt(r.t_trace)},{_fmt(r.t_channel_sum)},"
-                f"{_fmt(r.discrepancy)},{r.n_open_l},{r.n_open_r}"
+                f"{_fmt(r.discrepancy)},{n_open}"
             )
         _emit(args.out, "\n".join(lines) + "\n")
     else:
@@ -287,7 +296,7 @@ def _cmd_fit_edge(args) -> int:
     doc = {
         "e0": fit.e0, "window": list(fit.window), "side": fit.side,
         "exponent": fit.exponent, "stderr": fit.stderr, "n_points": fit.n_points,
-        "eta": args.eta, "model_hash": model_hash(model),
+        "eta": args.eta, "model_hash": result.metadata["model_hash"],
     }
     _emit(args.out, _json_text(doc))
     return EXIT_OK
@@ -375,7 +384,8 @@ def _cmd_validate(args) -> int:
     record("transmission channel-sum vs trace", worst_disc <= 1e-9,
            f"max discrepancy {worst_disc:.3e} (tol 1e-9)")
 
-    lines = [f"validate: {args.model} (hash {model_hash(model)[:12]})",
+    mhash = model_hash(model)
+    lines = [f"validate: {args.model} (hash {mhash[:12]})",
              f"energies: {', '.join(_fmt(e) for e in energies)}  eta={_fmt(args.eta)}"]
     all_ok = True
     for name, ok, detail in checks:
@@ -386,7 +396,7 @@ def _cmd_validate(args) -> int:
     sys.stdout.write(report)
     if args.out:
         doc = {
-            "model_hash": model_hash(model),
+            "model_hash": mhash,
             "energies": [float(e) for e in energies],
             "eta": args.eta,
             "checks": [{"name": n, "pass": ok, "detail": d} for n, ok, d in checks],

@@ -14,12 +14,13 @@ condition, and carries all flux information.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import DecimationError
+from .errors import DecimationError, ModelValidationError
 from .model import Array, HamiltonianBlocks
 
 TAU_PSD = 1e-10
@@ -57,6 +58,12 @@ class ImSigma:
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_eta(eta: float) -> None:
+    """The imaginary energy must be positive and finite (NaN fails too)."""
+    if not 0.0 < eta < math.inf:
+        raise ModelValidationError(f"eta must be > 0 and finite, got {eta!r}")
 
 
 def chain_surface_green_exact(e: float, t: float = 1.0, eta: float = 0.0) -> complex:
@@ -251,8 +258,7 @@ def surface_green(
     transfer pencil is used instead.  The returned g always satisfies the
     fixed point within ``tol`` or :class:`DecimationError` is raised.
     """
-    if eta <= 0.0:
-        raise ValueError("eta must be > 0 for a retarded surface Green function")
+    _check_eta(eta)
     z = complex(e, eta)
     h00, h01 = blocks.h00[None], blocks.h01[None]
     zeye = _zeye(np.array([z]), blocks.n)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from .embed import (
     TAU_PSD,
     EmbeddingPotential,
     ImSigma,
+    _check_eta,
     _lead_stack,
     anti_hermitian_part,
     embedding_potential,
@@ -123,9 +125,11 @@ def _same_blocks(a: HamiltonianBlocks, b: HamiltonianBlocks) -> bool:
     return a.k == b.k and np.array_equal(a.h00, b.h00) and np.array_equal(a.h01, b.h01)
 
 
-def _check_eta(eta: float) -> None:
-    if not eta > 0.0:
-        raise ModelValidationError(f"eta must be > 0, got {eta!r}")
+def _check_finite(values, what: str) -> None:
+    """Energies and momenta must be finite: NaN slips through order tests."""
+    bad = [x for x in values if not math.isfinite(x)]
+    if bad:
+        raise ModelValidationError(f"{what} must be finite, got {bad[0]!r}")
 
 
 def device_eta(n_open_l: int, n_open_r: int, eta: float) -> float:
@@ -150,6 +154,7 @@ def solve_point(
     computed once and the right side reuses them.
     """
     _check_eta(eta)
+    _check_finite((e,) if k is None else (e, k), "energy and k")
     blocks_l = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
     blocks_r = build_lead_blocks(model.lead_r, k if model.lead_r.requires_momentum else None)
     same = _same_blocks(blocks_l, blocks_r)
@@ -172,7 +177,9 @@ def _normalize_k_list(model: Model, k_list) -> tuple[float | None, ...]:
             raise ModelValidationError(
                 "model has a transverse-periodic lead: at least one k value is required"
             )
-        return tuple(float(k) for k in ks)
+        ks = tuple(float(k) for k in ks)
+        _check_finite(ks, "k values")
+        return ks
     if ks:
         raise ModelValidationError("k values supplied for a non-periodic model")
     return (None,)
@@ -197,6 +204,7 @@ def sweep(
     grid = tuple(float(e) for e in e_grid)
     if not grid:
         raise ModelValidationError("energy grid must be nonempty")
+    _check_finite(grid, "energy grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ModelValidationError("energy grid must be strictly increasing")
     _check_eta(eta)
@@ -399,6 +407,16 @@ def fit_band_edge(
     )
 
 
+# Peak refinement.  Every (energy, eta) value one detect_peaks call reads comes
+# from stacked _max_lambdas calls.  The searches are the serial zoom-grid,
+# golden-section and bisection loops, each read preceded by a ``yield`` of the
+# points it needs; _together runs independent searches side by side, so that
+# the requests of one round go through the lead as one stack.
+
+# A bisection prefetches the 2^d - 1 midpoints of its next d halvings at once.
+_TREE_DEPTH = 3
+
+
 def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float:
     blocks = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
     sig = embedding_potential(blocks, e, eta, side="left")
@@ -406,45 +424,130 @@ def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float
     return float(np.abs(np.linalg.eigvalsh(im.matrix)).max())
 
 
-def _max_lambdas(model: Model, grid: tuple[float, ...], eta: float,
-                 k: float | None) -> Array:
-    """:func:`_max_lambda_at` at every grid energy, the lead evaluated on
-    stacks of points; a point that fails a gate goes through
-    :func:`_max_lambda_at` itself, in grid order."""
-    (blocks,) = _lead_blocks(model.lead_l, (k,))
+def _max_lambdas(blocks: HamiltonianBlocks, points: list[tuple[float, float]]) -> Array:
+    """:func:`_max_lambda_at` at every (e, eta) point, bitwise, the lead
+    evaluated on stacks of points, each at its own eta.  NaN marks a point
+    that failed a stacked gate: it needs :func:`_max_lambda_at` itself, which
+    holds the fallback and the error text."""
     n = blocks.n
     step = max(1, _STACK_ENTRIES // (n * n))
-    vals = np.empty(len(grid))
-    for start in range(0, len(grid), step):
-        e = np.array(grid[start:start + step])
-        shape = (len(e), n, n)
+    e, eta = np.array(points, dtype=float).reshape(-1, 2).T
+    vals = np.empty(len(points))
+    for start in range(0, len(points), step):
+        z = _complex(e[start:start + step], eta[start:start + step])
+        shape = (len(z), n, n)
         *_, w, ok = _lead_stack(np.broadcast_to(blocks.h00, shape),
-                                np.broadcast_to(blocks.h01, shape), _complex(e, eta))
-        vals[start:start + len(e)] = np.abs(w).max(axis=1)
-        for i in np.flatnonzero(~ok):
-            vals[start + i] = _max_lambda_at(model, grid[start + i], eta, k)
+                                np.broadcast_to(blocks.h01, shape), z)
+        vals[start:start + len(z)] = np.where(ok, np.abs(w).max(axis=1), np.nan)
     return vals
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
+class _LeadValues:
+    """The left lead's :func:`_max_lambda_at` values for one :func:`detect_peaks`
+    call, memoised on the exact bits of (e, eta), so that -0.0 and 0.0 stay apart.
+
+    :meth:`fetch` evaluates the points not known yet in one :func:`_max_lambdas`
+    call.  A point that failed a stacked gate is recomputed by
+    :func:`_max_lambda_at` only when :meth:`read` asks for it, so a prefetched
+    point that no search reads never raises.
+    """
+
+    def __init__(self, model: Model, k: float | None) -> None:
+        self.model, self.k = model, k
+        (self.blocks,) = _lead_blocks(model.lead_l, (k,))
+        self.memo: dict[bytes, float] = {}
+
+    def fetch(self, points) -> None:
+        new = {}
+        for p in points:
+            key = struct.pack("dd", *p)
+            if key not in self.memo:
+                new[key] = p
+        if new:
+            self.memo.update(zip(new, _max_lambdas(self.blocks, list(new.values())).tolist()))
+
+    def read(self, e: float, eta: float) -> float:
+        key = struct.pack("dd", e, eta)
+        value = self.memo[key]
+        if math.isnan(value):
+            value = self.memo[key] = _max_lambda_at(self.model, e, eta, self.k)
+        return value
+
+    def run(self, search):
+        """Run a search to its end, fetching the points of each round in one stack."""
+        try:
+            while True:
+                self.fetch(search.send(None))
+        except StopIteration as stop:
+            return stop.value
+
+
+@dataclass(frozen=True)
+class _AtEta:
+    """The values at one eta: ``f(e)`` reads a fetched value, ``f.ask(es)``
+    names the points a search reads next."""
+
+    values: _LeadValues
+    eta: float
+
+    def __call__(self, e: float) -> float:
+        return self.values.read(e, self.eta)
+
+    def ask(self, energies) -> list[tuple[float, float]]:
+        return [(e, self.eta) for e in energies]
+
+
+def _together(searches: list):
+    """Run independent searches side by side, each round requesting the union
+    of their next points; return their results in order.
+
+    When searches fail, raise the error of the first in order, the one a
+    serial run would meet first; the searches after it are dropped.
+    """
+    results = [None] * len(searches)
+    error = None
+    pending = dict(enumerate(searches))
+    while pending:
+        points = []
+        for i, search in list(pending.items()):
+            try:
+                points += search.send(None)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+            except Exception as exc:  # raised below, once the searches before it are done
+                error = exc  # every search still pending comes before this one
+                pending = {j: s for j, s in pending.items() if j < i}
+                break
+        if points:
+            yield points
+    if error is not None:
+        raise error
+    return results
+
+
+def _golden_max(f, a: float, b: float, tol: float):
     """Golden-section maximizer on [a, b]."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - gr * (b - a)
     d = a + gr * (b - a)
+    yield f.ask((c, d))
     fc, fd = f(c), f(d)
     while (b - a) > tol:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
+            yield f.ask((c,))
             fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
+            yield f.ask((d,))
             fd = f(d)
     return 0.5 * (a + b)
 
 
-def _refine_max(f, a: float, b: float, tol: float) -> float:
+def _refine_max(f, a: float, b: float, tol: float):
     """Maximizer robust to peaks far narrower than the bracket.
 
     Coarse grid zooms re-bracket the maximum until the bracket is comparable
@@ -453,29 +556,77 @@ def _refine_max(f, a: float, b: float, tol: float) -> float:
     """
     while (b - a) > 64.0 * tol:
         xs = np.linspace(a, b, 17)
+        yield f.ask(xs)
         ys = [f(x) for x in xs]
         i = int(np.argmax(ys))
         a = xs[max(0, i - 1)]
         b = xs[min(len(xs) - 1, i + 1)]
-    return _golden_max(f, a, b, tol)
+    return (yield from _golden_max(f, a, b, tol))
 
 
-def _half_width(f, e_peak: float, height: float, span: float) -> float:
+def _midpoints(lo: float, hi: float, depth: int) -> list[float]:
+    """Every midpoint the next ``depth`` halvings of [lo, hi] can visit,
+    computed as the bisection computes it."""
+    if not depth:
+        return []
+    mid = 0.5 * (lo + hi)
+    return [mid, *_midpoints(lo, mid, depth - 1), *_midpoints(mid, hi, depth - 1)]
+
+
+def _cross(f, e_peak: float, height: float, span: float, sign: float):
+    """Half-maximum crossing on one side of the peak by 80 halvings."""
+    lo, hi = 0.0, span
+    yield f.ask((e_peak + sign * hi,))
+    if f(e_peak + sign * hi) > height / 2.0:
+        return span
+    for step in range(80):
+        if step % _TREE_DEPTH == 0:
+            mids = _midpoints(lo, hi, min(_TREE_DEPTH, 80 - step))
+            yield f.ask([e_peak + sign * m for m in mids])
+        mid = 0.5 * (lo + hi)
+        if f(e_peak + sign * mid) > height / 2.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _half_width(f, e_peak: float, height: float, span: float):
     """Full width at half maximum by bisection on each side of the peak."""
+    right, left = yield from _together([_cross(f, e_peak, height, span, +1.0),
+                                        _cross(f, e_peak, height, span, -1.0)])
+    return right + left
 
-    def cross(sign: float) -> float:
-        lo, hi = 0.0, span
-        if f(e_peak + sign * hi) > height / 2.0:
-            return span
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if f(e_peak + sign * mid) > height / 2.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
 
-    return cross(+1.0) + cross(-1.0)
+def _peak(model: Model, f: _AtEta, a: float, b: float, tol: float, k: float | None):
+    """The peak in [a, b] at one eta: position, height, width, transmission."""
+    e_peak = yield from _refine_max(f, a, b, tol)
+    yield f.ask((e_peak,))
+    h = f(e_peak)
+    span = max(10.0 * f.eta, (b - a) / 2.0)
+    width = yield from _half_width(f, e_peak, h, span)
+    try:
+        t_at_peak = solve_point(model, e_peak, f.eta, k).result.total_trace
+    except EmbedchanError:
+        t_at_peak = math.nan
+    return Peak(energy=float(e_peak), height=float(h), width=float(width),
+                eta=float(f.eta), transmission=float(t_at_peak))
+
+
+def _candidate(model: Model, values: _LeadValues, a: float, b: float,
+               etas: list[float], k: float | None):
+    """The peaks of one candidate bracket at every eta, and their height ratios."""
+    tol = max(1e-13, etas[0] / 100.0)
+    peaks = yield from _together([_peak(model, _AtEta(values, eta), a, b, tol, k)
+                                  for eta in etas])
+    scaling = [{
+        "energy": small.energy,
+        "eta_small": small.eta,
+        "eta_large": large.eta,
+        "height_ratio": small.height / large.height,
+        "eta_ratio": large.eta / small.eta,
+    } for small, large in zip(peaks, peaks[1:])]
+    return peaks, scaling
 
 
 def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> PeakReport:
@@ -485,21 +636,32 @@ def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> Peak
     width ~eta in the largest channel-eigenvalue magnitude; a reported peak
     must exceed ten times the local background.  An empty report means no
     peaks, which is a valid outcome for gapless models.
+
+    Every lead evaluation of the call is stacked: the scan, then the zoom
+    grids, golden sections and half-width bisections of all candidates and
+    etas side by side.  Values are memoised within the call only, and the
+    report is the one the serial searches give.
     """
     etas = sorted(float(x) for x in eta_list)
     if len(etas) < 2:
         raise ModelValidationError("eta_list must contain at least two values")
-    _check_eta(etas[0])
+    for eta in etas:
+        _check_eta(eta)
     if etas[-1] < 10.0 * etas[0]:
         raise ModelValidationError("eta_list values must differ by at least a factor of 10")
     grid = tuple(float(e) for e in e_grid)
     if len(grid) < 5:
         raise ModelValidationError("energy grid too small for peak detection")
+    _check_finite(grid, "energy grid")
     if model.requires_momentum and k is None:
         raise ModelValidationError("model is transverse-periodic: a k value is required")
+    if k is not None:
+        _check_finite((k,), "k")
 
     eta0 = etas[0]
-    vals = _max_lambdas(model, grid, eta0, k)
+    values = _LeadValues(model, k)
+    values.fetch([(e, eta0) for e in grid])
+    vals = np.array([values.read(e, eta0) for e in grid])
     candidates = []
     for i in range(1, len(grid) - 1):
         if not (vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]):
@@ -511,32 +673,9 @@ def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> Peak
         if vals[i] > 10.0 * max(background, TAU_PSD):
             candidates.append(i)
 
-    peaks: list[Peak] = []
-    scaling: list[dict] = []
-    for i in candidates:
-        a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
-        heights = {}
-        centers = {}
-        for eta in etas:
-            f = lambda e, _eta=eta: _max_lambda_at(model, e, _eta, k)
-            e_peak = _refine_max(f, a, b, tol=max(1e-13, eta0 / 100.0))
-            h = f(e_peak)
-            heights[eta] = h
-            centers[eta] = e_peak
-            span = max(10.0 * eta, (b - a) / 2.0)
-            width = _half_width(f, e_peak, h, span)
-            try:
-                t_at_peak = solve_point(model, e_peak, eta, k).result.total_trace
-            except EmbedchanError:
-                t_at_peak = math.nan
-            peaks.append(Peak(energy=float(e_peak), height=float(h), width=float(width),
-                              eta=float(eta), transmission=float(t_at_peak)))
-        for small, large in zip(etas, etas[1:]):
-            scaling.append({
-                "energy": float(centers[small]),
-                "eta_small": small,
-                "eta_large": large,
-                "height_ratio": heights[small] / heights[large],
-                "eta_ratio": large / small,
-            })
-    return PeakReport(peaks=tuple(peaks), scaling_check=tuple(scaling), etas=tuple(etas))
+    found = values.run(_together([
+        _candidate(model, values, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], etas, k)
+        for i in candidates]))
+    peaks = tuple(p for ps, _ in found for p in ps)
+    scaling = tuple(s for _, ss in found for s in ss)
+    return PeakReport(peaks=peaks, scaling_check=scaling, etas=tuple(etas))

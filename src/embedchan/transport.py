@@ -103,7 +103,7 @@ def device_green(
     their self-energies (both leads open); in gaps a positive eta avoids
     singular solves at bound-state energies.
     """
-    if eta < 0.0:
+    if not eta >= 0.0:
         raise ValueError("eta must be >= 0")
     cl, cr = device.coupling_left, device.coupling_right
     a = _device_matrix(device, sig_l.sigma[None], sig_r.sigma[None],

@@ -229,10 +229,12 @@ def test_stacked_decimation_keeps_each_point_doubling_count(monkeypatch):
 
 
 def test_peak_scan_bitwise_equals_max_lambda_at():
+    # one stack mixing three etas, as the peak refinement sends it
     model = dimer_model(0.5, 1.5)
-    grid = tuple(float(e) for e in np.linspace(-0.5, 0.5, 201) + 1.3e-4)
-    vals = spectra._max_lambdas(model, grid, 1e-7, None)
-    ref = [spectra._max_lambda_at(model, e, 1e-7, None) for e in grid]
+    grid = np.linspace(-0.5, 0.5, 201) + 1.3e-4
+    points = [(float(e), (1e-7, 1e-6, 1e-9)[i % 3]) for i, e in enumerate(grid)]
+    vals = spectra._max_lambdas(build_lead_blocks(model.lead_l), points)
+    ref = [spectra._max_lambda_at(model, e, eta, None) for e, eta in points]
     assert vals.tolist() == ref
 
 
@@ -257,3 +259,248 @@ def test_k_summed_totals_nan_where_a_k_point_failed():
         assert res.k_summed_trace[i] == sum(r.t_trace for r in pair)
         assert res.k_summed_channel[i] == sum(r.t_channel_sum for r in pair)
     assert math.isnan(res.k_summed_trace[1]) and math.isnan(res.k_summed_channel[1])
+
+
+# ---------------------------------------------------------------------------
+# detect_peaks against the serial searches it replaces
+#
+# The reference is the loop detect_peaks used to run: every value one
+# _max_lambda_at call, the zoom grids, golden section and bisections point by
+# point.  Stacking, the per-call memo and the bisection trees change no
+# arithmetic, so the reports must agree to the last bit.
+
+
+def _serial_golden_max(f, a, b, tol):
+    gr = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - gr * (b - a)
+    d = a + gr * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - gr * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + gr * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def _serial_refine_max(f, a, b, tol):
+    while (b - a) > 64.0 * tol:
+        xs = np.linspace(a, b, 17)
+        ys = [f(x) for x in xs]
+        i = int(np.argmax(ys))
+        a = xs[max(0, i - 1)]
+        b = xs[min(len(xs) - 1, i + 1)]
+    return _serial_golden_max(f, a, b, tol)
+
+
+def _serial_half_width(f, e_peak, height, span):
+    def cross(sign):
+        lo, hi = 0.0, span
+        if f(e_peak + sign * hi) > height / 2.0:
+            return span
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if f(e_peak + sign * mid) > height / 2.0:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    return cross(+1.0) + cross(-1.0)
+
+
+def serial_detect_peaks(model, e_grid, eta_list, k=None):
+    """detect_peaks on valid input, one _max_lambda_at call per value read."""
+    etas = sorted(float(x) for x in eta_list)
+    grid = tuple(float(e) for e in e_grid)
+    eta0 = etas[0]
+    vals = np.array([spectra._max_lambda_at(model, e, eta0, k) for e in grid])
+    candidates = []
+    for i in range(1, len(grid) - 1):
+        if not (vals[i] >= vals[i - 1] and vals[i] >= vals[i + 1]):
+            continue
+        lo, hi = max(0, i - 25), min(len(grid), i + 26)
+        neighborhood = np.concatenate([vals[lo:max(lo, i - 2)], vals[min(hi, i + 3):hi]])
+        background = float(np.median(neighborhood)) if neighborhood.size else 0.0
+        if vals[i] > 10.0 * max(background, embed.TAU_PSD):
+            candidates.append(i)
+    peaks, scaling = [], []
+    for i in candidates:
+        a, b = grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)]
+        heights, centers = {}, {}
+        for eta in etas:
+            f = lambda e, _eta=eta: spectra._max_lambda_at(model, e, _eta, k)
+            e_peak = _serial_refine_max(f, a, b, tol=max(1e-13, eta0 / 100.0))
+            h = f(e_peak)
+            heights[eta], centers[eta] = h, e_peak
+            width = _serial_half_width(f, e_peak, h, max(10.0 * eta, (b - a) / 2.0))
+            try:
+                t_at_peak = solve_point(model, e_peak, eta, k).result.total_trace
+            except EmbedchanError:
+                t_at_peak = math.nan
+            peaks.append(spectra.Peak(energy=float(e_peak), height=float(h),
+                                      width=float(width), eta=float(eta),
+                                      transmission=float(t_at_peak)))
+        for small, large in zip(etas, etas[1:]):
+            scaling.append({"energy": float(centers[small]), "eta_small": small,
+                            "eta_large": large,
+                            "height_ratio": heights[small] / heights[large],
+                            "eta_ratio": large / small})
+    return spectra.PeakReport(peaks=tuple(peaks), scaling_check=tuple(scaling),
+                              etas=tuple(etas))
+
+
+def _weak_dimer(t1, eps, right=None):
+    """Weak-terminated dimer chain (surface state at the gap centre eps); a
+    periodic-strip right lead makes the model need a k."""
+    lead = {"preset": "dimer_chain", "params": {"t1": t1, "t2": 1.0, "eps": eps}}
+    c_r = [[0.0, 0.0], [0.0, 1.0]] if right is None else [[0.0, 1.0]]
+    return parse_model_dict({"lead_left": lead, "lead_right": right or lead,
+                             "device": {"h": [[eps, -t1], [-t1, eps]],
+                                        "coupling_left": [[0.0, 0.0], [1.0, 0.0]],
+                                        "coupling_right": c_r}})
+
+
+_PERIODIC = {"preset": "square_strip", "params": {"t": 1.0, "width": 4, "periodic": True}}
+
+
+def _gap_grid(eps, offset, n=101):
+    return eps + offset * (1.0 / (n - 1)) + np.linspace(-0.5, 0.5, n)
+
+
+def assert_same_report(model, grid, etas, k=None):
+    report = spectra.detect_peaks(model, grid, etas, k)
+    assert repr(report) == repr(serial_detect_peaks(model, grid, etas, k))
+    return report
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(t1=st.floats(0.3, 0.7), eps=st.floats(-0.05, 0.05), offset=st.floats(-0.5, 0.5),
+       etas=st.sampled_from([(1e-7, 1e-6), (1e-6, 1e-8), (1e-7, 1e-6, 1e-5)]),
+       case=st.sampled_from(["plain", "k", "periodic left"]))
+def test_detect_peaks_equals_serial_searches(t1, eps, offset, etas, case):
+    k = None if case == "plain" else 0.7
+    if case == "periodic left":  # a gapless lead: no peak, the scan at k only
+        model = parse_model_dict({"lead_left": _PERIODIC, "lead_right": _PERIODIC,
+                                  "device": {"h": [[eps]], "coupling_left": [[1.0]],
+                                             "coupling_right": [[1.0]]}})
+        assert_same_report(model, _gap_grid(eps, offset, 41), etas, k)
+        return
+    model = _weak_dimer(t1, eps, _PERIODIC if case == "k" else None)
+    report = assert_same_report(model, _gap_grid(eps, offset), etas, k)
+    assert len(report.peaks) == len(etas)
+
+
+def test_detect_peaks_reads_no_value_point_by_point(monkeypatch):
+    # without gate failures no value goes through the one-point path
+    def one_point(*args):
+        raise AssertionError("one-point lead evaluation")
+
+    model = _weak_dimer(0.5, 0.01)
+    ref = serial_detect_peaks(model, _gap_grid(0.01, 0.3), [1e-7, 1e-6])
+    monkeypatch.setattr(spectra, "_max_lambda_at", one_point)
+    assert repr(spectra.detect_peaks(model, _gap_grid(0.01, 0.3), [1e-7, 1e-6])) == repr(ref)
+
+
+def test_back_to_back_calls_share_no_state():
+    # same grid and etas, different leads: a value kept from the last call
+    # would be read in place of the new model's
+    grid, etas = _gap_grid(0.01, 0.3), [1e-7, 1e-6]
+    models = [_weak_dimer(0.5, 0.01), _weak_dimer(0.4, 0.01)]
+    refs = [repr(serial_detect_peaks(model, grid, etas)) for model in models]
+    assert refs[0] != refs[1]
+    for i in (0, 1, 0):
+        assert repr(spectra.detect_peaks(models[i], grid, etas)) == refs[i]
+
+
+def _fail_at(monkeypatch, points, error=None):
+    """Make the stacked gates fail at ``points`` (pairs (e, eta)); with
+    ``error``, _max_lambda_at then raises it there, naming the point."""
+    bad = {complex(e, eta) for e, eta in points}
+    real_stack, real_at = spectra._lead_stack, spectra._max_lambda_at
+
+    def stack(h00, h01, z):
+        sigma, im, w, ok = real_stack(h00, h01, z)
+        return sigma, im, w, ok & ~np.isin(z, list(bad))
+
+    def at(model, e, eta, k):
+        if error is not None and complex(e, eta) in bad:
+            raise error(f"injected at {float(e)!r}, {eta!r}")
+        return real_at(model, e, eta, k)
+
+    monkeypatch.setattr(spectra, "_lead_stack", stack)
+    monkeypatch.setattr(spectra, "_max_lambda_at", at)
+
+
+def _requested_and_read(model, grid, etas):
+    asked, read = [], []
+    fetch, get = spectra._LeadValues.fetch, spectra._LeadValues.read
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra._LeadValues, "fetch",
+                   lambda self, points: asked.extend(points) or fetch(self, points))
+        mp.setattr(spectra._LeadValues, "read",
+                   lambda self, e, eta: read.append((e, eta)) or get(self, e, eta))
+        spectra.detect_peaks(model, grid, etas)
+    return asked, read
+
+
+def test_unread_tree_node_failure_never_raises(monkeypatch):
+    model, grid, etas = _weak_dimer(0.5, 0.01), _gap_grid(0.01, 0.3), [1e-7, 1e-6]
+    ref = serial_detect_peaks(model, grid, etas)
+    asked, read = _requested_and_read(model, grid, etas)
+    read_keys = {complex(e, eta) for e, eta in read}
+    unread = [p for p in asked if complex(*p) not in read_keys]
+    assert unread  # bisection tree nodes off the serial path
+    _fail_at(monkeypatch, [unread[len(unread) // 2]], embed.DecimationError)
+    assert repr(spectra.detect_peaks(model, grid, etas)) == repr(ref)
+
+
+def test_read_gate_failures_go_through_max_lambda_at(monkeypatch):
+    model, grid, etas = _weak_dimer(0.5, 0.01), _gap_grid(0.01, 0.3), [1e-7, 1e-6]
+    ref = serial_detect_peaks(model, grid, etas)
+    _, read = _requested_and_read(model, grid, etas)
+    _fail_at(monkeypatch, read[::7])
+    assert repr(spectra.detect_peaks(model, grid, etas)) == repr(ref)
+
+
+def test_first_error_in_serial_order_wins(monkeypatch):
+    # the large eta's zoom fails in the first round of refinement, the small
+    # eta's left half-width much later; a serial run meets the second first
+    model, grid, etas = _weak_dimer(0.5, 0.01), _gap_grid(0.01, 0.3), [1e-7, 1e-6]
+    p0 = spectra.detect_peaks(model, grid, etas).peaks[0]
+    i = int(np.argmin(np.abs(grid - 0.01)))
+    a, b = float(grid[i - 1]), float(grid[i + 1])
+    early = (a, 1e-6)
+    late = (p0.energy + -1.0 * max(10.0 * 1e-7, (b - a) / 2.0), 1e-7)
+    _fail_at(monkeypatch, [early, late], embed.DecimationError)
+    with pytest.raises(embed.DecimationError) as serial:
+        serial_detect_peaks(model, grid, etas)
+    with pytest.raises(embed.DecimationError) as stacked:
+        spectra.detect_peaks(model, grid, etas)
+    assert str(serial.value) == str(stacked.value) == f"injected at {late[0]!r}, 1e-07"
+
+
+def test_together_raises_first_failure_in_order_and_drops_later_searches():
+    advanced = []
+
+    def search(name, rounds, fail):
+        for r in range(rounds):
+            advanced.append((name, r))
+            yield [name]
+        if fail:
+            raise RuntimeError(name)
+        return name
+
+    gen = spectra._together([search("a", 5, False), search("b", 4, True),
+                             search("c", 1, True), search("d", 9, False)])
+    rounds = []
+    with pytest.raises(RuntimeError, match="^b$"):
+        while True:
+            rounds.append(next(gen))
+    assert rounds[0] == ["a", "b", "c", "d"]
+    assert rounds[1:] == [["a", "b"]] * 3 + [["a"]]  # c fails in round 2: d is dropped
+    assert ("d", 1) not in advanced

@@ -274,3 +274,54 @@ def test_negative_exponent_emin_is_a_value(chain_file, tmp_path):
 def test_non_number_after_flag_still_an_option(chain_file, capsys):
     assert run(["bloch", "--model", chain_file, "--e", "-x"]) == 1
     assert "expected one argument" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# failed points keep their CSV rows
+
+
+@pytest.fixture()
+def singular_file(tmp_path):
+    # an uncoupled device site at E = 1.5, inside both chain bands: the device
+    # solve is singular there (eta_dev = 0 while both leads are open)
+    model = parse_model_dict({
+        "lead_left": chain_lead(), "lead_right": chain_lead(),
+        "device": {"h": [[0.0, -1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 1.5]],
+                   "coupling_left": [[1.0, 0.0, 0.0]], "coupling_right": [[0.0, 1.0, 0.0]]},
+    })
+    path = tmp_path / "singular.json"
+    path.write_text(serialize_model(model))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, failed_row", [
+    ("transmit", "1.5,,nan,nan,nan,nan,nan"),
+    ("channels", "1.5,,0,nan,0"),
+])
+def test_failed_point_is_a_nan_row(singular_file, tmp_path, capsys, command, failed_row):
+    out = tmp_path / "x.csv"
+    code = run([command, "--model", singular_file, "--emin", "1.25", "--emax", "1.75",
+                "--npts", "3", "--eta", "1e-8", "--out", str(out)])
+    assert code == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 4
+    assert rows[2] == failed_row
+    assert "nan" not in rows[1] + rows[3]
+    assert capsys.readouterr().err == "1 of 3 points failed\n"
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("fit-edge", ["--e0=-2.0", "--eta=1e-8"]),
+    ("validate", []),
+])
+def test_model_hashed_once_per_command(chain_file, tmp_path, monkeypatch, command, extra):
+    import embedchan.cli as cli
+    import embedchan.spectra as spectra
+
+    calls = []
+    for module in (cli, spectra):
+        real = module.model_hash
+        monkeypatch.setattr(module, "model_hash",
+                            lambda m, _real=real: calls.append(1) or _real(m))
+    run([command, "--model", chain_file, "--out", str(tmp_path / "x.json"), *extra])
+    assert len(calls) == 1

@@ -12,12 +12,14 @@ from embedchan import (
     build_lead_blocks,
     channel_decomposition,
     detect_peaks,
+    device_green,
     embedding_potential,
     fit_band_edge,
     fold_momentum,
     parse_model_dict,
     solve_point,
     spectra,
+    surface_green,
     sweep,
 )
 
@@ -212,6 +214,45 @@ def test_detect_peaks_validation():
         detect_peaks(model, np.linspace(-1, 1, 21), [1e-6])
     with pytest.raises(ModelValidationError, match="factor of 10"):
         detect_peaks(model, np.linspace(-1, 1, 21), [1e-6, 2e-6])
+
+
+_G = np.linspace(-0.5, 0.5, 21)
+_NON_FINITE = {
+    "peaks eta nan": lambda: detect_peaks(dimer_model(0.5, 1.5), _G, [1e-7, math.nan]),
+    "peaks eta inf": lambda: detect_peaks(dimer_model(0.5, 1.5), _G, [1e-7, math.inf]),
+    "peaks grid nan": lambda: detect_peaks(dimer_model(0.5, 1.5), [*_G, math.nan],
+                                           [1e-7, 1e-6]),
+    "peaks grid -inf": lambda: detect_peaks(dimer_model(0.5, 1.5), [-math.inf, *_G],
+                                            [1e-7, 1e-6]),
+    "peaks k nan": lambda: detect_peaks(periodic_strip_model(width=2), _G, [1e-7, 1e-6],
+                                        k=math.nan),
+    "sweep grid nan": lambda: sweep(impurity_chain_model(), [0.0, math.nan, 1.0]),
+    "sweep grid inf": lambda: sweep(impurity_chain_model(), [0.0, math.inf]),
+    "sweep eta nan": lambda: sweep(impurity_chain_model(), _G, eta=math.nan),
+    "sweep eta inf": lambda: sweep(impurity_chain_model(), _G, eta=math.inf),
+    "sweep k inf": lambda: sweep(periodic_strip_model(width=2), _G, k_list=[0.0, math.inf]),
+    "point e nan": lambda: solve_point(impurity_chain_model(), math.nan, 1e-6),
+    "point e inf": lambda: solve_point(impurity_chain_model(), math.inf, 1e-6),
+    "point k nan": lambda: solve_point(periodic_strip_model(width=2), 0.1, 1e-6, math.nan),
+    "point eta nan": lambda: solve_point(impurity_chain_model(), 0.1, math.nan),
+    "surface green eta nan": lambda: surface_green(
+        build_lead_blocks(impurity_chain_model().lead_l), 0.0, math.nan),
+    "surface green eta inf": lambda: surface_green(
+        build_lead_blocks(impurity_chain_model().lead_l), 0.0, math.inf),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_FINITE))
+def test_non_finite_input_is_a_validation_error(case):
+    with pytest.raises(ModelValidationError, match="finite"):
+        _NON_FINITE[case]()
+
+
+def test_device_green_rejects_nan_eta():
+    model = impurity_chain_model()
+    sol = solve_point(model, 0.1, 1e-6)
+    with pytest.raises(ValueError, match="eta"):
+        device_green(model.device, sol.sig_l, sol.sig_r, 0.1, math.nan)
 
 
 def test_sweep_metadata():
