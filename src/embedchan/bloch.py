@@ -19,7 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .channels import ChannelBasis, fix_phase, flux
-from .embed import ImSigma
+from .embed import ImSigma, _transfer_pencil
 from .errors import BlochSolveError, ChannelCountMismatchError, FluxNormalizationError
 from .model import Array, HamiltonianBlocks
 
@@ -82,20 +82,15 @@ def _pencil_residual(beta: complex, phi: Array, h00: Array, h01: Array, e: float
 def bloch_states(blocks: HamiltonianBlocks, e: float, tau_prop: float = TAU_PROP) -> BlochSpectrum:
     """Solve the lead's fixed-energy Bloch problem (real energy, eta = 0).
 
-    The quadratic problem is linearized as the generalized pencil
-
-        [[0, 1], [-h01^dag, E - h00]] v = beta [[1, 0], [0, h01]] v
-
-    which handles rank-deficient h01 natively: missing inverse power shows up
-    as beta = 0 / beta = inf pairs.  All 2n solutions are returned, sorted
-    deterministically (outgoing, incoming, decaying, growing).
+    The quadratic problem is linearized as the transfer pencil of the
+    surface Green function's fallback (:func:`embedchan.embed._transfer_pencil`)
+    at real E, which handles rank-deficient h01 natively: missing inverse
+    power shows up as beta = 0 / beta = inf pairs.  All 2n solutions are
+    returned, sorted deterministically (outgoing, incoming, decaying, growing).
     """
     h00, h01 = blocks.h00, blocks.h01
     n = blocks.n
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([[zero, eye], [-h01.conj().T, e * eye - h00]])
-    b = np.block([[eye, zero], [zero, h01]])
+    a, b = _transfer_pencil(h00, h01, e)
     w, v = sla.eig(a, b)
     if np.any(np.isnan(w)):
         raise BlochSolveError(

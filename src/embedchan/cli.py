@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .bloch import bloch_states
 from .errors import EmbedchanError, ModelValidationError
-from .model import Model, build_lead_blocks, model_hash, parse_model_file
-from .spectra import detect_peaks, device_eta, fit_band_edge, solve_point, sweep
-from .transport import device_green, right_surface_wave, scattered_wave
+from .model import Model, lead_blocks, model_hash, parse_model_file
+from .spectra import _normalize_k_list, detect_peaks, fit_band_edge, solve_point, sweep
+from .transport import right_surface_wave, scattered_wave
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -70,10 +70,6 @@ def _fmt_k(k: float | None) -> str:
 
 def _cnum(z: complex) -> list[float]:
     return [float(np.real(z)), float(np.imag(z))]
-
-
-def _cmat(m) -> list:
-    return [[_cnum(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -127,8 +123,12 @@ def _load(args) -> Model:
     return parse_model_file(args.model)
 
 
-def _sweep_metadata(sweep_result) -> dict:
-    return dict(sweep_result.metadata)
+def _single_k(model: Model, args) -> float | None:
+    """The one --k of a command that solves at a single momentum."""
+    ks = _normalize_k_list(model, args.k)
+    if len(ks) > 1:
+        raise ModelValidationError(f"{args.command} takes one --k value, got {len(ks)}")
+    return ks[0]
 
 
 def _report_failures(sweep_result) -> None:
@@ -157,7 +157,7 @@ def _cmd_channels(args) -> int:
         _emit(args.out, "\n".join(lines) + "\n")
     else:
         doc = {
-            "metadata": _sweep_metadata(result),
+            "metadata": dict(result.metadata),
             "side": side,
             "records": [
                 {
@@ -187,7 +187,7 @@ def _cmd_transmit(args) -> int:
         _emit(args.out, "\n".join(lines) + "\n")
     else:
         doc = {
-            "metadata": _sweep_metadata(result),
+            "metadata": dict(result.metadata),
             "records": [
                 {
                     "e": r.e, "k": r.k, "status": r.status,
@@ -207,15 +207,9 @@ def _cmd_transmit(args) -> int:
 
 def _cmd_bloch(args) -> int:
     model = _load(args)
-    ks = args.k if args.k else [None]
-    if model.requires_momentum and args.k is None:
-        raise ModelValidationError("model is transverse-periodic: supply --k")
     rows = []
-    for k in ks:
-        blocks = build_lead_blocks(
-            model.lead_l, k if model.lead_l.requires_momentum else None
-        )
-        spec = bloch_states(blocks, args.e)
+    for k in _normalize_k_list(model, args.k):
+        spec = bloch_states(lead_blocks(model.lead_l, k), args.e)
         for idx, s in enumerate(spec.states):
             rows.append((args.e, k, idx, s))
     if (args.format or "csv") == "csv":
@@ -252,7 +246,7 @@ def _cmd_bloch(args) -> int:
 
 def _cmd_scatter(args) -> int:
     model = _load(args)
-    k = args.k[0] if args.k else None
+    k = _single_k(model, args)
     sol = solve_point(model, args.e, args.eta, k)
     ch = sol.channels_l
     if ch.n_open == 0:
@@ -263,11 +257,9 @@ def _cmd_scatter(args) -> int:
         raise ModelValidationError(
             f"--channel {args.channel} out of range (0..{ch.n_open - 1})"
         )
-    gdev = device_green(model.device, sol.sig_l, sol.sig_r, args.e,
-                        device_eta(ch.n_open, sol.channels_r.n_open, args.eta))
     psi_inc = ch.vectors_unit_flux[:, args.channel]
-    chi = scattered_wave(gdev, sol.im_l, psi_inc)
-    chi_r = right_surface_wave(gdev, chi)
+    chi = scattered_wave(sol.gdev, sol.im_l, psi_inc)
+    chi_r = right_surface_wave(sol.gdev, chi)
     t_flux = float(np.real(-2.0 * chi_r.conj() @ sol.im_r.matrix @ chi_r))
     t_row = sol.result.t[args.channel] if sol.result.t.size else np.zeros(0, complex)
     doc = {
@@ -306,8 +298,7 @@ def _cmd_peaks(args) -> int:
     model = _load(args)
     if not args.eta or len(args.eta) < 2:
         raise ModelValidationError("peaks requires at least two --eta values")
-    k = args.k[0] if args.k else None
-    report = detect_peaks(model, _grid(args), args.eta, k=k)
+    report = detect_peaks(model, _grid(args), args.eta, k=_single_k(model, args))
     doc = {
         "etas": list(report.etas),
         "model_hash": model_hash(model),
@@ -327,7 +318,8 @@ def _cmd_peaks(args) -> int:
 def _cmd_validate(args) -> int:
     model = _load(args)
     energies = list(np.linspace(args.emin, args.emax, 5))
-    ks = args.k if args.k else ([0.0] if model.requires_momentum else [None])
+    ks = _normalize_k_list(model, args.k or ([0.0] if model.requires_momentum else None))
+    leads = [(lead_blocks(model.lead_l, k), lead_blocks(model.lead_r, k)) for k in ks]
     checks: list[tuple[str, bool, str]] = []
 
     def record(name: str, ok: bool, detail: str) -> None:
@@ -341,17 +333,13 @@ def _cmd_validate(args) -> int:
     worst_ident = 0.0
     count_mismatch = 0
     for e in energies:
-        for k in ks:
+        for k, (blocks_l, blocks_r) in zip(ks, leads):
             sol = solve_point(model, float(e), args.eta, k)
-            for sig, im, ch in (
-                (sol.sig_l, sol.im_l, sol.channels_l),
-                (sol.sig_r, sol.im_r, sol.channels_r),
+            for sig, im, ch, blocks in (
+                (sol.sig_l, sol.im_l, sol.channels_l, blocks_l),
+                (sol.sig_r, sol.im_r, sol.channels_r, blocks_r),
             ):
                 z = complex(sig.energy, sig.eta)
-                blocks = build_lead_blocks(
-                    model.lead_l if sig.side == "left" else model.lead_r,
-                    k if (model.lead_l if sig.side == "left" else model.lead_r).requires_momentum else None,
-                )
                 ident = (z * np.eye(sig.n) - blocks.h00 - sig.sigma) @ sig.surface_g - np.eye(sig.n)
                 worst_ident = max(worst_ident, float(np.abs(ident).max()))
                 worst_psd = max(worst_psd, float(np.linalg.eigvalsh(im.matrix).max()))

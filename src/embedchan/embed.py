@@ -27,6 +27,7 @@ TAU_PSD = 1e-10
 DEFAULT_ETA_POINT = 1e-8
 DEFAULT_ETA_SWEEP = 1e-6
 FIXED_POINT_TOL = 1e-10
+MAX_DOUBLINGS = 200
 
 
 @dataclass(frozen=True)
@@ -156,36 +157,40 @@ def _sigma(g: Array, h00: Array, h01: Array, zeye: Array) -> tuple[Array, Array,
     return sigma, res, 1e-9 * _pymax1(np.abs(g).max(axis=(1, 2)))
 
 
-def _anti_hermitian(sigma: Array) -> tuple[Array, Array, Array, Array]:
-    """(Sigma - Sigma^dag)/2i made exactly Hermitian, its eigenvalues, its
-    largest eigenvalue and the largest one the NSD guard allows.
+def _anti_hermitian(sigma: Array, vectors: bool) -> tuple[Array, ...]:
+    """(Sigma - Sigma^dag)/2i made exactly Hermitian, its eigenvalues, with
+    ``vectors`` its eigenvectors (``eigh``; else ``eigvalsh`` and None), its
+    largest eigenvalue and the largest one the NSD guard allows.  Sweeps take
+    ``eigh``, whose values are the guard and whose pairs are the channels;
+    the peak search reads values only.
 
-    eigvalsh does not propagate NaN (it can return zeros), so only finite
-    matrices are diagonalized; a non-finite one gets NaN eigenvalues and
-    fails the guard.
+    eigvalsh and eigh do not propagate NaN (they can return zeros), so only
+    finite matrices are diagonalized; a non-finite one gets NaN eigenpairs
+    and fails the guard.
     """
     m = (sigma - sigma.conj().transpose(0, 2, 1)) / 2j
     m = (m + m.conj().transpose(0, 2, 1)) / 2.0
     b, n = m.shape[:2]
+    w = np.full((b, n), np.nan)
+    v = np.full((b, n, n), np.nan, dtype=complex) if vectors else None
     if not n:
-        return m, np.zeros((b, 0)), np.zeros(b), np.full(b, TAU_PSD)
+        return m, w, v, np.zeros(b), np.full(b, TAU_PSD)
     norm = np.abs(m).max(axis=(1, 2))
     finite = np.isfinite(norm)
-    if finite.all():
-        w = np.linalg.eigvalsh(m)
-    else:
-        w = np.full((b, n), np.nan)
-        if finite.any():
+    if finite.any():
+        if vectors:
+            w[finite], v[finite] = np.linalg.eigh(m[finite])
+        else:
             w[finite] = np.linalg.eigvalsh(m[finite])
-    return m, w, w.max(axis=1), np.maximum(TAU_PSD, 1e-12 * norm)
+    return m, w, v, w.max(axis=1), np.maximum(TAU_PSD, 1e-12 * norm)
 
 
-def _lead_stack(h00: Array, h01: Array, z: Array, max_iter: int = 200,
-                tol: float = FIXED_POINT_TOL) -> tuple[Array, Array, Array, Array]:
-    """Sigma, ImSigma and the ImSigma eigenvalues of one lead at a stack of
-    points (blocks of shape (B, n, n), complex energies of shape (B,)), and
-    the mask of points that passed every gate of :func:`embedding_potential`
-    and :func:`anti_hermitian_part` without the mode-matching fallback.
+def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool) -> tuple[Array, ...]:
+    """Sigma, ImSigma and its eigenvalues and eigenvectors (see
+    :func:`_anti_hermitian`) of one lead at a stack of points (blocks of
+    shape (B, n, n), complex energies of shape (B,)), and the mask of points
+    that passed every gate of :func:`embedding_potential` and
+    :func:`anti_hermitian_part` without the mode-matching fallback.
 
     Where the mask holds, every value is bitwise equal to the per-point
     functions'.  The other points need the per-point path, which holds the
@@ -193,14 +198,27 @@ def _lead_stack(h00: Array, h01: Array, z: Array, max_iter: int = 200,
     """
     zeye = _zeye(z, h00.shape[-1])
     try:
-        g = _decimation_stack(h00, h01, zeye, max_iter)
-    except np.linalg.LinAlgError:  # one singular slice fails the whole stack
+        g = _decimation_stack(h00, h01, zeye, MAX_DOUBLINGS)
+        res, tol = _fixed_point_tol(g, _fixed_point_residual(g, h00, h01, zeye),
+                                    FIXED_POINT_TOL)
+        sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
+        m, w, v, top, top_tol = _anti_hermitian(sigma, vectors)
+    except np.linalg.LinAlgError:  # one failed slice fails the whole stack
         nan = np.full(h00.shape, np.nan, dtype=complex)
-        return nan, nan, np.full(h00.shape[:2], np.nan), np.zeros(len(z), bool)
-    res, tol_eff = _fixed_point_tol(g, _fixed_point_residual(g, h00, h01, zeye), tol)
-    sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
-    m, w, top, top_tol = _anti_hermitian(sigma)
-    return sigma, m, w, (res <= tol_eff) & (ident <= ident_tol) & (top <= top_tol)
+        return (nan, nan, np.full(h00.shape[:2], np.nan), nan if vectors else None,
+                np.zeros(len(z), bool))
+    return sigma, m, w, v, (res <= tol) & (ident <= ident_tol) & (top <= top_tol)
+
+
+def _transfer_pencil(h00: Array, h01: Array, z: complex) -> tuple[Array, Array]:
+    """Transfer pencil A v = beta B v, A = [[0, 1], [-h01^dag, z - h00]],
+    B = [[1, 0], [0, h01]]: beta^2 h01 phi + beta (h00 - z) phi + h01^dag phi
+    = 0 linearized in v = (phi, beta phi), for the fallback at complex z and
+    the Bloch problem at real E."""
+    n = h00.shape[0]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    return (np.block([[zero, eye], [-h01.conj().T, z * eye - h00]]),
+            np.block([[eye, zero], [zero, h01]]))
 
 
 def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
@@ -212,11 +230,7 @@ def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     Stable at energies where the decimation inner solves become resonant.
     """
     n = h00.shape[0]
-    eye = np.eye(n)
-    zero = np.zeros((n, n))
-    a = np.block([[zero, eye], [-h01.conj().T, z * eye - h00]])
-    b = np.block([[eye, zero], [zero, h01]])
-    w, v = sla.eig(a, b)
+    w, v = sla.eig(*_transfer_pencil(h00, h01, z))
     finite = np.where(np.isfinite(w))[0]
     if finite.size < n:
         raise DecimationError(
@@ -225,14 +239,14 @@ def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     sel = finite[np.argsort(np.abs(w[finite]))][:n]
     phi = v[:n, sel]
     f = phi @ np.diag(w[sel]) @ np.linalg.inv(phi)
-    return np.linalg.inv(z * eye - h00 - h01 @ f)
+    return np.linalg.inv(z * np.eye(n) - h00 - h01 @ f)
 
 
 def surface_green(
     blocks: HamiltonianBlocks,
     e: float,
     eta: float,
-    max_iter: int = 200,
+    max_iter: int = MAX_DOUBLINGS,
     tol: float = FIXED_POINT_TOL,
 ) -> Array:
     """Retarded surface Green function of a semi-infinite lead.
@@ -320,7 +334,7 @@ def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
     positive eigenvalues beyond numerical tolerance indicate a broken
     retarded branch and raise.
     """
-    (m,), _, (top,), (top_tol,) = _anti_hermitian(sig.sigma[None])
+    (m,), _, _, (top,), (top_tol,) = _anti_hermitian(sig.sigma[None], vectors=False)
     if not top <= top_tol:
         raise DecimationError(
             f"anti-Hermitian part has positive eigenvalue {top:.3e}; "

@@ -367,6 +367,13 @@ def build_lead_blocks(spec: LatticeSpec, k: float | None = None) -> HamiltonianB
     return HamiltonianBlocks(h00=h00, h01=h01, k=k)
 
 
+def lead_blocks(spec: LatticeSpec, k: float | None) -> HamiltonianBlocks:
+    """Blocks of one lead of a model solved at momentum k: k reaches a
+    transverse-periodic lead only, so the other lead of a mixed model
+    ignores it."""
+    return build_lead_blocks(spec, k if spec.requires_momentum else None)
+
+
 def _parse_lead(obj: Any, path: str) -> LatticeSpec:
     if not isinstance(obj, dict):
         raise ModelValidationError(f"{path}: expected an object")

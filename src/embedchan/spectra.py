@@ -25,13 +25,13 @@ from .errors import EmbedchanError, ModelValidationError
 from .model import (
     Array,
     HamiltonianBlocks,
-    LatticeSpec,
     Model,
-    build_lead_blocks,
+    lead_blocks,
     model_hash,
 )
 from .transport import (
     GREEN_IDENTITY_TOL,
+    DeviceGreenFunction,
     TransmissionResult,
     _contact_block,
     _device_matrix,
@@ -117,6 +117,7 @@ class PointSolution:
     channels_l: ChannelBasis
     channels_r: ChannelBasis
     result: TransmissionResult
+    gdev: DeviceGreenFunction  # the device solve behind ``result``
 
 
 def _same_blocks(a: HamiltonianBlocks, b: HamiltonianBlocks) -> bool:
@@ -155,8 +156,7 @@ def solve_point(
     """
     _check_eta(eta)
     _check_finite((e,) if k is None else (e, k), "energy and k")
-    blocks_l = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
-    blocks_r = build_lead_blocks(model.lead_r, k if model.lead_r.requires_momentum else None)
+    blocks_l, blocks_r = lead_blocks(model.lead_l, k), lead_blocks(model.lead_r, k)
     same = _same_blocks(blocks_l, blocks_r)
     sig_l = embedding_potential(blocks_l, e, eta, side="left")
     sig_r = (replace(sig_l, side="right") if same
@@ -167,7 +167,7 @@ def solve_point(
     ch_r = replace(ch_l, side="right") if same else channel_decomposition(im_r, tau_open)
     gdev = device_green(model.device, sig_l, sig_r, e, device_eta(ch_l.n_open, ch_r.n_open, eta))
     res = transmission(gdev, im_l, im_r, ch_l, ch_r)
-    return PointSolution(sig_l, sig_r, im_l, im_r, ch_l, ch_r, res)
+    return PointSolution(sig_l, sig_r, im_l, im_r, ch_l, ch_r, res, gdev)
 
 
 def _normalize_k_list(model: Model, k_list) -> tuple[float | None, ...]:
@@ -259,26 +259,24 @@ def _point_record(model: Model, e: float, eta: float, k: float | None,
     return _record(e, k, sol.channels_l, sol.channels_r, sol.result)
 
 
-def _lead_blocks(spec: LatticeSpec, ks) -> list[HamiltonianBlocks]:
-    return [build_lead_blocks(spec, k if spec.requires_momentum else None) for k in ks]
-
-
 def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None, ...],
                    eta: float, tau_open: float | None) -> list[PointRecord]:
     """Records of every (E, k) point, energy-major, each the one
     :func:`solve_point` gives.
 
     The points go through the layers in stacks: the decimation with its
-    gates, Sigma, ImSigma and its NSD guard, the channel ``eigh``, the device
-    solve with its identity gate and g_rl.  Only the transmission, whose
-    open-channel counts differ between points, runs point by point.  Every
-    stacked array holds at most ``_STACK_ENTRIES`` complex entries.  A point
-    that fails a gate, and every point of a stack whose LAPACK call raised,
-    goes through :func:`solve_point` instead, which holds the mode-matching
-    fallback and the error text.  When both leads have the same blocks at
-    every k, the right side reuses the left stack.
+    gates, Sigma, ImSigma and its one ``eigh``, which is both the NSD guard
+    and the channel basis, the device solve with its identity gate and g_rl.
+    Only the transmission, whose open-channel counts differ between points,
+    runs point by point.  Every stacked array holds at most
+    ``_STACK_ENTRIES`` complex entries.  A point that fails a gate, and every
+    point of a stack whose LAPACK call raised, goes through
+    :func:`solve_point` instead, which holds the mode-matching fallback and
+    the error text.  When both leads have the same blocks at every k, the
+    right side reuses the left stack.
     """
-    blocks_l, blocks_r = _lead_blocks(model.lead_l, ks), _lead_blocks(model.lead_r, ks)
+    blocks_l, blocks_r = ([lead_blocks(spec, k) for k in ks]
+                          for spec in (model.lead_l, model.lead_r))
     same = all(_same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
     leads = [(np.stack([b.h00 for b in bs]), np.stack([b.h01 for b in bs]))
              for bs in ([blocks_l] if same else [blocks_l, blocks_r])]
@@ -315,18 +313,13 @@ def _stack_records(model: Model, points: list[tuple[float, float | None]], energ
     holds h00 and h01 of each distinct lead at every k, ``kidx`` the k of
     each point."""
     z = _complex(energies, eta)
-    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z) for h00, h01 in leads]
-    (sig_l, im_l, _, ok_l), (sig_r, im_r, _, ok_r) = sides[0], sides[-1]
+    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z, vectors=True)
+             for h00, h01 in leads]
+    (sig_l, im_l, _, _, ok_l), (sig_r, im_r, _, _, ok_r) = sides[0], sides[-1]
     idx = np.flatnonzero(ok_l & ok_r)
-    eig = []
-    if idx.size:
-        try:
-            eig = [np.linalg.eigh(im[idx]) for _, im, _, _ in sides]
-        except np.linalg.LinAlgError:  # one failed slice fails the whole stack
-            idx = idx[:0]
     tau = default_tau_open(eta) if tau_open is None else tau_open
-    n_open = [np.count_nonzero(lam < -tau, axis=1) for lam, _ in eig]
-    eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])] if eig else []
+    n_open = [np.count_nonzero(lam[idx] < -tau, axis=1) for _, _, lam, _, _ in sides]
+    eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])]
     z_dev = _complex(energies[idx], eta_dev)
 
     dev = model.device
@@ -345,8 +338,8 @@ def _stack_records(model: Model, points: list[tuple[float, float | None]], energ
             if res[j] <= GREEN_IDENTITY_TOL:
                 e, k = points[p]
                 i = start + j
-                ch = [_basis(lam[i], vecs[i], e, eta, side, k, tau)
-                      for (lam, vecs), side in zip(eig, ("left", "right"))]
+                ch = [_basis(lam[p], vecs[p], e, eta, side, k, tau)
+                      for (_, _, lam, vecs, _), side in zip(sides, ("left", "right"))]
                 r = _transmission(g_rl[j], im_l[p], im_r[p], ch[0], ch[-1], e, eta_dev[i])
                 records[p] = _record(e, k, ch[0], ch[-1], r)
     return [rec if rec is not None else _point_record(model, e, eta, k, tau_open)
@@ -418,9 +411,8 @@ _TREE_DEPTH = 3
 
 
 def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float:
-    blocks = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
-    sig = embedding_potential(blocks, e, eta, side="left")
-    im = anti_hermitian_part(sig)
+    """The left lead's part of :func:`solve_point`, then the largest |lambda|."""
+    im = anti_hermitian_part(embedding_potential(lead_blocks(model.lead_l, k), e, eta))
     return float(np.abs(np.linalg.eigvalsh(im.matrix)).max())
 
 
@@ -436,8 +428,8 @@ def _max_lambdas(blocks: HamiltonianBlocks, points: list[tuple[float, float]]) -
     for start in range(0, len(points), step):
         z = _complex(e[start:start + step], eta[start:start + step])
         shape = (len(z), n, n)
-        *_, w, ok = _lead_stack(np.broadcast_to(blocks.h00, shape),
-                                np.broadcast_to(blocks.h01, shape), z)
+        _, _, w, _, ok = _lead_stack(np.broadcast_to(blocks.h00, shape),
+                                     np.broadcast_to(blocks.h01, shape), z, vectors=False)
         vals[start:start + len(z)] = np.where(ok, np.abs(w).max(axis=1), np.nan)
     return vals
 
@@ -454,7 +446,7 @@ class _LeadValues:
 
     def __init__(self, model: Model, k: float | None) -> None:
         self.model, self.k = model, k
-        (self.blocks,) = _lead_blocks(model.lead_l, (k,))
+        self.blocks = lead_blocks(model.lead_l, k)
         self.memo: dict[bytes, float] = {}
 
     def fetch(self, points) -> None:

@@ -161,10 +161,10 @@ def test_gate_failures_go_through_solve_point(monkeypatch):
     real = spectra._lead_stack
     calls = []
 
-    def failing(h00, h01, z):
-        sigma, im, w, ok = real(h00, h01, z)
+    def failing(h00, h01, z, vectors):
+        sigma, im, w, v, ok = real(h00, h01, z, vectors)
         calls.append(len(z))
-        return sigma, im, w, ok & (np.arange(len(z)) % 3 != 1)
+        return sigma, im, w, v, ok & (np.arange(len(z)) % 3 != 1)
 
     monkeypatch.setattr(spectra, "_lead_stack", failing)
     rerun = []
@@ -185,6 +185,19 @@ def test_stacked_linalg_error_reruns_every_point(monkeypatch):
 
     monkeypatch.setattr(embed, "_decimation_stack", singular)
     assert_same_records(ladder_impurity_model(), np.linspace(-3.0, 3.0, 7), 1e-6)
+
+
+def test_one_diagonalization_per_sweep_stack(monkeypatch):
+    # identical leads, one stack, every point through the stack: its one
+    # eigh is both the NSD guard and the channel basis
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _real=real, _name=name:
+                            calls.append((_name, a.shape)) or _real(a, *args))
+    res = sweep(ladder_impurity_model(), np.linspace(-3.0, 3.0, 12), eta=1e-6)
+    assert all(r.ok for r in res.records)
+    assert calls == [("eigh", (12, 2, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +436,9 @@ def _fail_at(monkeypatch, points, error=None):
     bad = {complex(e, eta) for e, eta in points}
     real_stack, real_at = spectra._lead_stack, spectra._max_lambda_at
 
-    def stack(h00, h01, z):
-        sigma, im, w, ok = real_stack(h00, h01, z)
-        return sigma, im, w, ok & ~np.isin(z, list(bad))
+    def stack(h00, h01, z, vectors):
+        sigma, im, w, v, ok = real_stack(h00, h01, z, vectors)
+        return sigma, im, w, v, ok & ~np.isin(z, list(bad))
 
     def at(model, e, eta, k):
         if error is not None and complex(e, eta) in bad:

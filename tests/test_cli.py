@@ -325,3 +325,42 @@ def test_model_hashed_once_per_command(chain_file, tmp_path, monkeypatch, comman
                             lambda m, _real=real: calls.append(1) or _real(m))
     run([command, "--model", chain_file, "--out", str(tmp_path / "x.json"), *extra])
     assert len(calls) == 1
+
+
+def test_scatter_solves_the_device_once(chain_file, tmp_path, monkeypatch):
+    import embedchan.cli as cli
+    import embedchan.spectra as spectra
+    import embedchan.transport as transport
+
+    real, calls = transport.device_green, []
+    for module in (cli, spectra, transport):
+        if getattr(module, "device_green", None) is real:
+            monkeypatch.setattr(module, "device_green",
+                                lambda *a: calls.append(1) or real(*a))
+    assert run(["scatter", "--model", chain_file, "--e=0.3",
+                "--out", str(tmp_path / "s.json")]) == 0
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# a --k that a command would not use is a validation error
+
+_NOT_PERIODIC = "k values supplied for a non-periodic model"
+
+
+@pytest.mark.parametrize("model_file, command, extra, message", [
+    ("chain_file", "scatter", ["--e=0.1", "--k=0.3"], _NOT_PERIODIC),
+    ("chain_file", "bloch", ["--e=0.1", "--k=0.3"], _NOT_PERIODIC),
+    ("chain_file", "validate", ["--k=0.3"], _NOT_PERIODIC),
+    ("chain_file", "peaks", ["--eta=1e-7", "--eta=1e-6", "--k=0.3"], _NOT_PERIODIC),
+    ("strip_file", "scatter", ["--e=0.1", "--k=0.1", "--k=2.0"],
+     "scatter takes one --k value, got 2"),
+    ("strip_file", "peaks", ["--eta=1e-7", "--eta=1e-6", "--k=0.1", "--k=2.0"],
+     "peaks takes one --k value, got 2"),
+])
+def test_unused_k_exit_code(request, tmp_path, capsys, model_file, command, extra, message):
+    out = tmp_path / "x"
+    path = request.getfixturevalue(model_file)
+    assert run([command, "--model", path, "--out", str(out), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,6 +21,7 @@ from embedchan import (
     spectra,
     surface_green,
     sweep,
+    transmission,
 )
 
 from helpers import (
@@ -253,6 +254,20 @@ def test_device_green_rejects_nan_eta():
     sol = solve_point(model, 0.1, 1e-6)
     with pytest.raises(ValueError, match="eta"):
         device_green(model.device, sol.sig_l, sol.sig_r, 0.1, math.nan)
+
+
+@pytest.mark.parametrize("e, eta_dev", [(0.3, 0.0), (3.0, 1e-8)])
+def test_point_solution_holds_its_device_solve(e, eta_dev):
+    # both leads open: the device runs at eta = 0; in a gap at the lead eta
+    model = impurity_chain_model()
+    sol = solve_point(model, e, 1e-8)
+    assert sol.gdev.eta == eta_dev
+    ref = device_green(model.device, sol.sig_l, sol.sig_r, e, eta_dev)
+    assert sol.gdev.g.tobytes() == ref.g.tobytes()
+    res = transmission(sol.gdev, sol.im_l, sol.im_r, sol.channels_l, sol.channels_r)
+    for f in fields(res):
+        a, b = getattr(res, f.name), getattr(sol.result, f.name)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
 
 
 def test_sweep_metadata():
