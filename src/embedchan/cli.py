@@ -283,7 +283,8 @@ def _cmd_fit_edge(args) -> int:
     offsets = np.logspace(math.log10(args.wmin), math.log10(args.wmax), args.npts)
     sign = 1.0 if args.side == "above" else -1.0
     grid = sorted(args.e0 + sign * d for d in offsets)
-    result = sweep(model, grid, eta=args.eta, k_list=args.k)
+    k = _single_k(model, args)
+    result = sweep(model, grid, eta=args.eta, k_list=None if k is None else [k])
     fit = fit_band_edge(result, args.e0, (args.wmin, args.wmax), side=args.side)
     doc = {
         "e0": fit.e0, "window": list(fit.window), "side": fit.side,

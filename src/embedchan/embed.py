@@ -136,10 +136,49 @@ def _decimation_stack(h00: Array, h01: Array, zeye: Array, max_iter: int) -> Arr
     return np.linalg.inv(zeye - out)
 
 
+def _transverse_modes(h00: Array, h01: Array) -> tuple[Array, Array] | None:
+    """Transverse modes (eps, U) of a lead's blocks at each of its k (shape
+    (K, n, n)), h00 = U diag(eps) U^dag, when every h01 is exactly
+    h01[0, 0] * 1 and n >= 2; else None.
+
+    Such a lead is n independent chains, one per eigenmode of h00, each with
+    on-site eps_m and the hopping t = h01[0, 0].  The ``eigh`` here is the
+    only diagonalization of h00, and callers run it once per lead and k (per
+    sweep, per peak search, per :func:`surface_green` call), never per point
+    of a stack.
+    """
+    n = h00.shape[-1]
+    if n < 2 or not np.array_equal(h01, h01[:, :1, :1] * np.eye(n)):
+        return None
+    return np.linalg.eigh(h00)
+
+
+def _surface_green_stack(h00: Array, h01: Array, zeye: Array,
+                         modes: tuple[Array, Array] | None, max_iter: int) -> Array:
+    """Surface Green functions of a stack of points.
+
+    Without ``modes`` this is :func:`_decimation_stack`.  With the transverse
+    modes (eps, U) of each point (see :func:`_transverse_modes`), the n mode
+    chains of every point go through :func:`_decimation_stack` as one stack
+    of 1 x 1 chains, each with its own doubling count, and g = U diag(g_m)
+    U^dag.
+    """
+    if modes is None:
+        return _decimation_stack(h00, h01, zeye, max_iter)
+    eps, u = modes
+    b, n = eps.shape
+    z_chains = np.repeat(zeye[:, 0, 0], n)
+    gm = _decimation_stack(eps.reshape(b * n, 1, 1),
+                           np.repeat(h01[:, :1, :1], n, axis=0), _zeye(z_chains, 1),
+                           max_iter).reshape(b, 1, n)
+    return (u * gm) @ u.conj().transpose(0, 2, 1)
+
+
 def _decimation(h00: Array, h01: Array, z: complex, max_iter: int) -> Array:
-    """:func:`_decimation_stack` at one point."""
-    return _decimation_stack(h00[None], h01[None], _zeye(np.array([z]), h00.shape[0]),
-                             max_iter)[0]
+    """:func:`_surface_green_stack` at one point, transverse modes included."""
+    h00, h01 = h00[None], h01[None]
+    return _surface_green_stack(h00, h01, _zeye(np.array([z]), h00.shape[-1]),
+                                _transverse_modes(h00, h01), max_iter)[0]
 
 
 def _fixed_point_tol(g: Array, res: Array, tol: float) -> tuple[Array, Array]:
@@ -185,12 +224,14 @@ def _anti_hermitian(sigma: Array, vectors: bool) -> tuple[Array, ...]:
     return m, w, v, w.max(axis=1), np.maximum(TAU_PSD, 1e-12 * norm)
 
 
-def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool) -> tuple[Array, ...]:
+def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
+                modes: tuple[Array, Array] | None) -> tuple[Array, ...]:
     """Sigma, ImSigma and its eigenvalues and eigenvectors (see
     :func:`_anti_hermitian`) of one lead at a stack of points (blocks of
-    shape (B, n, n), complex energies of shape (B,)), and the mask of points
-    that passed every gate of :func:`embedding_potential` and
-    :func:`anti_hermitian_part` without the mode-matching fallback.
+    shape (B, n, n), complex energies of shape (B,), the lead's transverse
+    modes at each point or None), and the mask of points that passed every
+    gate of :func:`embedding_potential` and :func:`anti_hermitian_part`
+    without the mode-matching fallback.
 
     Where the mask holds, every value is bitwise equal to the per-point
     functions'.  The other points need the per-point path, which holds the
@@ -198,7 +239,7 @@ def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool) -> tuple[Array,
     """
     zeye = _zeye(z, h00.shape[-1])
     try:
-        g = _decimation_stack(h00, h01, zeye, MAX_DOUBLINGS)
+        g = _surface_green_stack(h00, h01, zeye, modes, MAX_DOUBLINGS)
         res, tol = _fixed_point_tol(g, _fixed_point_residual(g, h00, h01, zeye),
                                     FIXED_POINT_TOL)
         sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
@@ -266,11 +307,14 @@ def surface_green(
 
     Notes
     -----
-    Layer doubling is the primary algorithm.  When e sits within ~eta of an
-    eigenvalue of a partially decimated block the doubling loses digits to
-    cancellation; in that case the mode-matching construction from the
-    transfer pencil is used instead.  The returned g always satisfies the
-    fixed point within ``tol`` or :class:`DecimationError` is raised.
+    Layer doubling is the primary algorithm.  A lead whose h01 is exactly
+    h01[0, 0] * 1 (n >= 2) is doubled mode by mode: its n transverse modes
+    are independent chains (see :func:`_surface_green_stack`).  When e sits
+    within ~eta of an eigenvalue of a partially decimated block the doubling
+    loses digits to cancellation; in that case the mode-matching construction
+    from the transfer pencil is used instead.  The returned g always
+    satisfies the fixed point within ``tol`` or :class:`DecimationError` is
+    raised.
     """
     _check_eta(eta)
     z = complex(e, eta)

@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import re
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -465,11 +466,12 @@ def _matrix_parts(m: Array) -> Iterator[str]:
     """``json.dumps(..., indent=2)`` text of a complex matrix as rows of [re, im]
     pairs at nesting depth ``_MATRIX_LEVEL``, one piece per matrix row.
 
-    One ``%r`` template per row formats the row's Python floats (``tolist``,
-    not numpy scalars, whose repr differs); ``float.__repr__`` is what
-    ``json`` writes for a float, so the text is the one ``json.dumps`` would
-    produce.  The model classes reject NaN and infinities, which ``json``
-    would spell differently.
+    Each distinct [re, im] pair is formatted once, keyed on its 16 bytes, so
+    -0.0 and 0.0 stay apart; the rows are joined from those texts.  The
+    floats are Python floats (``struct``, not numpy scalars, whose repr
+    differs) and ``float.__repr__`` is what ``json`` writes for a float, so
+    the text is the one ``json.dumps`` would produce.  The model classes
+    reject NaN and infinities, which ``json`` would spell differently.
     """
     m = np.ascontiguousarray(m, dtype=complex)
     rows, cols = m.shape
@@ -478,11 +480,14 @@ def _matrix_parts(m: Array) -> Iterator[str]:
         return
     ind = ["\n" + "  " * (_MATRIX_LEVEL + d) for d in range(4)]
     pair = f"[{ind[3]}%r,{ind[3]}%r{ind[2]}]"
-    row = f"[{ind[2]}" + f",{ind[2]}".join([pair] * cols) + f"{ind[1]}]" if cols else "[]"
-    re_im = m.view(np.float64)  # each row interleaves re, im
+    keys = m.reshape(-1).view(np.dtype((np.void, 16))).tolist()  # bytes, one per entry
+    text = {key: pair % struct.unpack("dd", key) for key in set(keys)}
+    cells = [text[key] for key in keys]
+    sep = f",{ind[2]}"
     yield f"[{ind[1]}"
     for r in range(rows):
-        yield row % tuple(re_im[r].tolist()) + (f",{ind[1]}" if r + 1 < rows else f"{ind[0]}]")
+        row = f"[{ind[2]}{sep.join(cells[r * cols:(r + 1) * cols])}{ind[1]}]" if cols else "[]"
+        yield row + (f",{ind[1]}" if r + 1 < rows else f"{ind[0]}]")
 
 
 def _model_parts(model: Model) -> Iterator[str]:

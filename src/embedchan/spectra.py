@@ -17,6 +17,7 @@ from .embed import (
     ImSigma,
     _check_eta,
     _lead_stack,
+    _transverse_modes,
     anti_hermitian_part,
     embedding_potential,
 )
@@ -273,13 +274,16 @@ def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None
     point of a stack whose LAPACK call raised, goes through
     :func:`solve_point` instead, which holds the mode-matching fallback and
     the error text.  When both leads have the same blocks at every k, the
-    right side reuses the left stack.
+    right side reuses the left stack.  A lead with transverse modes (see
+    :func:`embed._transverse_modes`) has them computed here, once per sweep.
     """
     blocks_l, blocks_r = ([lead_blocks(spec, k) for k in ks]
                           for spec in (model.lead_l, model.lead_r))
     same = all(_same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
-    leads = [(np.stack([b.h00 for b in bs]), np.stack([b.h01 for b in bs]))
-             for bs in ([blocks_l] if same else [blocks_l, blocks_r])]
+    leads = []
+    for bs in [blocks_l] if same else [blocks_l, blocks_r]:
+        h00, h01 = np.stack([b.h00 for b in bs]), np.stack([b.h01 for b in bs])
+        leads.append((h00, h01, _transverse_modes(h00, h01)))
     n = max(blocks_l[0].n, blocks_r[0].n)
     step = max(1, _STACK_ENTRIES // (n * n))
     points = [(e, k) for e in grid for k in ks]
@@ -306,15 +310,20 @@ def _at(h: Array, kidx: Array) -> Array:
     return np.broadcast_to(h[0], (len(kidx),) + h.shape[1:]) if len(h) == 1 else h[kidx]
 
 
+def _modes_at(modes: tuple[Array, Array] | None, kidx: Array) -> tuple[Array, Array] | None:
+    """Transverse modes (one set per k, or None) at each point's k."""
+    return None if modes is None else (_at(modes[0], kidx), _at(modes[1], kidx))
+
+
 def _stack_records(model: Model, points: list[tuple[float, float | None]], energies: Array,
-                   kidx: Array, leads: list[tuple[Array, Array]], eta: float,
+                   kidx: Array, leads: list[tuple[Array, Array, tuple | None]], eta: float,
                    tau_open: float | None) -> list[PointRecord]:
     """Records of one stack of points (see :func:`_sweep_records`); ``leads``
-    holds h00 and h01 of each distinct lead at every k, ``kidx`` the k of
-    each point."""
+    holds h00, h01 and the transverse modes of each distinct lead at every k,
+    ``kidx`` the k of each point."""
     z = _complex(energies, eta)
-    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z, vectors=True)
-             for h00, h01 in leads]
+    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z, True, _modes_at(modes, kidx))
+             for h00, h01, modes in leads]
     (sig_l, im_l, _, _, ok_l), (sig_r, im_r, _, _, ok_r) = sides[0], sides[-1]
     idx = np.flatnonzero(ok_l & ok_r)
     tau = default_tau_open(eta) if tau_open is None else tau_open
@@ -416,20 +425,23 @@ def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float
     return float(np.abs(np.linalg.eigvalsh(im.matrix)).max())
 
 
-def _max_lambdas(blocks: HamiltonianBlocks, points: list[tuple[float, float]]) -> Array:
+def _max_lambdas(blocks: HamiltonianBlocks, points: list[tuple[float, float]],
+                 modes: tuple[Array, Array] | None) -> Array:
     """:func:`_max_lambda_at` at every (e, eta) point, bitwise, the lead
-    evaluated on stacks of points, each at its own eta.  NaN marks a point
-    that failed a stacked gate: it needs :func:`_max_lambda_at` itself, which
-    holds the fallback and the error text."""
+    evaluated on stacks of points, each at its own eta; ``modes`` are the
+    lead's transverse modes (``_transverse_modes`` of its blocks).  NaN marks
+    a point that failed a stacked gate: it needs :func:`_max_lambda_at`
+    itself, which holds the fallback and the error text."""
     n = blocks.n
     step = max(1, _STACK_ENTRIES // (n * n))
     e, eta = np.array(points, dtype=float).reshape(-1, 2).T
+    h00, h01 = blocks.h00[None], blocks.h01[None]
     vals = np.empty(len(points))
     for start in range(0, len(points), step):
         z = _complex(e[start:start + step], eta[start:start + step])
-        shape = (len(z), n, n)
-        _, _, w, _, ok = _lead_stack(np.broadcast_to(blocks.h00, shape),
-                                     np.broadcast_to(blocks.h01, shape), z, vectors=False)
+        kidx = np.zeros(len(z), int)
+        _, _, w, _, ok = _lead_stack(_at(h00, kidx), _at(h01, kidx), z, False,
+                                     _modes_at(modes, kidx))
         vals[start:start + len(z)] = np.where(ok, np.abs(w).max(axis=1), np.nan)
     return vals
 
@@ -441,12 +453,14 @@ class _LeadValues:
     :meth:`fetch` evaluates the points not known yet in one :func:`_max_lambdas`
     call.  A point that failed a stacked gate is recomputed by
     :func:`_max_lambda_at` only when :meth:`read` asks for it, so a prefetched
-    point that no search reads never raises.
+    point that no search reads never raises.  The lead's transverse modes are
+    computed once, here.
     """
 
     def __init__(self, model: Model, k: float | None) -> None:
         self.model, self.k = model, k
         self.blocks = lead_blocks(model.lead_l, k)
+        self.modes = _transverse_modes(self.blocks.h00[None], self.blocks.h01[None])
         self.memo: dict[bytes, float] = {}
 
     def fetch(self, points) -> None:
@@ -456,7 +470,8 @@ class _LeadValues:
             if key not in self.memo:
                 new[key] = p
         if new:
-            self.memo.update(zip(new, _max_lambdas(self.blocks, list(new.values())).tolist()))
+            self.memo.update(zip(new, _max_lambdas(self.blocks, list(new.values()),
+                                                   self.modes).tolist()))
 
     def read(self, e: float, eta: float) -> float:
         key = struct.pack("dd", e, eta)

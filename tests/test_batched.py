@@ -13,16 +13,19 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from embedchan import (
     EmbedchanError,
+    HamiltonianBlocks,
+    LatticeSpec,
     PointRecord,
     build_lead_blocks,
     embed,
+    embedding_potential,
     parse_model_dict,
     solve_point,
     spectra,
     sweep,
 )
 
-from helpers import chain_lead, dimer_model, ladder_impurity_model
+from helpers import chain_lead, dimer_model, ladder_impurity_model, strip_model
 
 
 def reference_records(model, grid, eta, ks=(None,), tau_open=None):
@@ -161,8 +164,8 @@ def test_gate_failures_go_through_solve_point(monkeypatch):
     real = spectra._lead_stack
     calls = []
 
-    def failing(h00, h01, z, vectors):
-        sigma, im, w, v, ok = real(h00, h01, z, vectors)
+    def failing(h00, h01, z, vectors, modes):
+        sigma, im, w, v, ok = real(h00, h01, z, vectors, modes)
         calls.append(len(z))
         return sigma, im, w, v, ok & (np.arange(len(z)) % 3 != 1)
 
@@ -189,7 +192,9 @@ def test_stacked_linalg_error_reruns_every_point(monkeypatch):
 
 def test_one_diagonalization_per_sweep_stack(monkeypatch):
     # identical leads, one stack, every point through the stack: its one
-    # eigh is both the NSD guard and the channel basis
+    # eigh is both the NSD guard and the channel basis.  The t_diag = 0
+    # ladder lead takes the transverse-mode route, whose eigh of h00 runs
+    # once for the lead at its one k, before the stack
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -197,7 +202,7 @@ def test_one_diagonalization_per_sweep_stack(monkeypatch):
                             calls.append((_name, a.shape)) or _real(a, *args))
     res = sweep(ladder_impurity_model(), np.linspace(-3.0, 3.0, 12), eta=1e-6)
     assert all(r.ok for r in res.records)
-    assert calls == [("eigh", (12, 2, 2))]
+    assert calls == [("eigh", (1, 2, 2)), ("eigh", (12, 2, 2))]
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +251,9 @@ def test_peak_scan_bitwise_equals_max_lambda_at():
     model = dimer_model(0.5, 1.5)
     grid = np.linspace(-0.5, 0.5, 201) + 1.3e-4
     points = [(float(e), (1e-7, 1e-6, 1e-9)[i % 3]) for i, e in enumerate(grid)]
-    vals = spectra._max_lambdas(build_lead_blocks(model.lead_l), points)
+    blocks = build_lead_blocks(model.lead_l)
+    modes = embed._transverse_modes(blocks.h00[None], blocks.h01[None])
+    vals = spectra._max_lambdas(blocks, points, modes)
     ref = [spectra._max_lambda_at(model, e, eta, None) for e, eta in points]
     assert vals.tolist() == ref
 
@@ -436,8 +443,8 @@ def _fail_at(monkeypatch, points, error=None):
     bad = {complex(e, eta) for e, eta in points}
     real_stack, real_at = spectra._lead_stack, spectra._max_lambda_at
 
-    def stack(h00, h01, z, vectors):
-        sigma, im, w, v, ok = real_stack(h00, h01, z, vectors)
+    def stack(h00, h01, z, vectors, modes):
+        sigma, im, w, v, ok = real_stack(h00, h01, z, vectors, modes)
         return sigma, im, w, v, ok & ~np.isin(z, list(bad))
 
     def at(model, e, eta, k):
@@ -517,3 +524,186 @@ def test_together_raises_first_failure_in_order_and_drops_later_searches():
     assert rounds[0] == ["a", "b", "c", "d"]
     assert rounds[1:] == [["a", "b"]] * 3 + [["a"]]  # c fails in round 2: d is dropped
     assert ("d", 1) not in advanced
+
+
+
+# ---------------------------------------------------------------------------
+# transverse-mode route: a lead with h01 = t * 1 (n >= 2) is n independent
+# chains, g = U diag(g_m) U^dag; the general decimation is the reference
+
+# bound on |g_modes - g_general| / max(1, |g|) and on the same for Sigma, at
+# points where both routes pass the fixed-point gate; the worst seen over
+# 1440 random leads (n = 2, 5, 16, 40 energies each, eta 1e-6 and 1e-8) was
+# 2.0e-9 for g and 1.4e-9 for Sigma
+MODE_ROUTE_TOL = 1e-7
+
+
+def _mode_lead(rng, n, hermitian, degenerate):
+    """h00 = Q diag(eps) Q^dag, real symmetric or Hermitian (``degenerate``
+    draws eps from three values), and h01 = t * 1 with a complex t."""
+    eps = rng.choice(rng.uniform(-2.0, 2.0, 3), n) if degenerate else rng.uniform(-2.0, 2.0, n)
+    a = rng.normal(size=(n, n)) + (1j * rng.normal(size=(n, n)) if hermitian else 0.0)
+    q = np.linalg.qr(a)[0]
+    h00 = (q * eps) @ q.conj().T
+    h00 = (h00 + h00.conj().T) / 2.0
+    t = rng.uniform(0.5, 1.5) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    return h00, t * np.eye(n)
+
+
+def _modes_of(blocks):
+    return embed._transverse_modes(blocks.h00[None], blocks.h01[None])
+
+
+def test_transverse_modes_only_for_h01_exactly_t_times_one():
+    near = -np.eye(3, dtype=complex)
+    near[0, 2] = 5e-324  # no tolerance: one subnormal entry keeps the general route
+    taken = [LatticeSpec("square_strip", {"width": 8}),
+             LatticeSpec("ladder", {"t_perp": 0.5}),
+             LatticeSpec("explicit", h00=np.diag([0.0, 1.0, 1.0]), h01=(0.3 - 0.4j) * np.eye(3)),
+             LatticeSpec("explicit", h00=np.eye(2), h01=np.zeros((2, 2)))]
+    kept = [LatticeSpec("chain"),
+            LatticeSpec("square_strip", {"width": 8, "periodic": True}),
+            LatticeSpec("dimer_chain"),
+            LatticeSpec("ladder", {"t_diag": 0.2}),
+            LatticeSpec("explicit", h00=np.zeros((3, 3)), h01=near),
+            LatticeSpec("explicit", h00=np.zeros((2, 2)), h01=np.diag([-1.0, -1.0 + 1e-15]))]
+    for spec, route in [(s, True) for s in taken] + [(s, False) for s in kept]:
+        blocks = build_lead_blocks(spec, 0.3 if spec.requires_momentum else None)
+        assert (_modes_of(blocks) is not None) == route, spec
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), hermitian=st.booleans(),
+       degenerate=st.booleans(), eta=st.sampled_from([1e-6, 1e-8]))
+def test_mode_route_matches_general_decimation(seed, n, hermitian, degenerate, eta):
+    rng = np.random.default_rng(seed)
+    h00, h01 = _mode_lead(rng, n, hermitian, degenerate)
+    z = rng.uniform(-5.0, 5.0, 16) + 1j * eta
+    shape = (len(z), n, n)
+    h00, h01, zeye = np.broadcast_to(h00, shape), np.broadcast_to(h01, shape), embed._zeye(z, n)
+    eps, u = embed._transverse_modes(h00[:1], h01[:1])
+    modes = (np.broadcast_to(eps[0], (len(z), n)), np.broadcast_to(u[0], shape))
+    out = []
+    for m in (None, modes):
+        g = embed._surface_green_stack(h00, h01, zeye, m, embed.MAX_DOUBLINGS)
+        res, tol = embed._fixed_point_tol(g, embed._fixed_point_residual(g, h00, h01, zeye),
+                                          embed.FIXED_POINT_TOL)
+        out.append((g, embed._sigma(g, h00, h01, zeye)[0], res <= tol))
+    (g0, s0, ok0), (g1, s1, ok1) = out
+    both = ok0 & ok1
+    assert both.any()
+    for a, b in ((g0, g1), (s0, s1)):
+        scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+        assert (np.abs(a - b).max(axis=(1, 2))[both] <= MODE_ROUTE_TOL * scale[both]).all()
+
+
+def test_mode_route_stack_bitwise_equals_stack_of_one():
+    # _lead_stack (sweeps, peak scan) and surface_green (solve_point) share
+    # one core: every point gives the same bits alone and in a stack
+    rng = np.random.default_rng(11)
+    h00, h01 = _mode_lead(rng, 5, True, True)
+    leads = [build_lead_blocks(LatticeSpec("square_strip", {"width": 8})),
+             build_lead_blocks(LatticeSpec("ladder", {"t_perp": 0.7})),
+             HamiltonianBlocks(h00=h00, h01=h01)]
+    z = rng.uniform(-4.0, 4.0, 24) + 1j * rng.choice([1e-8, 1e-6], 24)
+    for blocks in leads:
+        shape = (len(z), blocks.n, blocks.n)
+        modes = _modes_of(blocks)
+        assert modes is not None
+        sigma, _, _, _, ok = embed._lead_stack(
+            np.broadcast_to(blocks.h00, shape), np.broadcast_to(blocks.h01, shape), z, False,
+            (np.broadcast_to(modes[0][0], shape[:2]), np.broadcast_to(modes[1][0], shape)))
+        assert ok.all()
+        for i, zi in enumerate(z):
+            one = embedding_potential(blocks, zi.real, zi.imag)
+            assert one.surface_g.tobytes() == embed._decimation(
+                blocks.h00, blocks.h01, zi, embed.MAX_DOUBLINGS).tobytes()
+            assert sigma[i].tobytes() == one.sigma.tobytes()
+
+
+def test_mode_route_peak_values_bitwise_equal_max_lambda_at():
+    model = strip_model(width=8)
+    values = spectra._LeadValues(model, None)
+    points = [(float(e), (1e-7, 1e-6)[i % 2]) for i, e in enumerate(np.linspace(-4.5, 4.5, 61))]
+    values.fetch(points)
+    assert sum(math.isnan(v) for v in values.memo.values()) < 5
+    assert ([values.read(*p) for p in points]
+            == [spectra._max_lambda_at(model, e, eta, None) for e, eta in points])
+
+
+def _mode_models():
+    rng = np.random.default_rng(5)
+    ladder = {"preset": "ladder", "params": {"t_perp": 0.6}}
+    h00, _ = _mode_lead(rng, 3, True, True)
+    explicit = {"h00": _cm(h00), "h01": _cm(-0.8 * np.eye(3))}
+    return [strip_model(width=8), ladder_impurity_model(t_perp=0.3),
+            parse_model_dict({"lead_left": ladder, "lead_right": explicit,
+                              "device": _device(rng, 2, 3, 1)})]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("eta", [1e-6, 1e-8])
+def test_mode_route_sweep_equals_per_point_loop(monkeypatch, case, eta):
+    # width-8 strip, t_diag = 0 ladder, and a ladder facing a degenerate
+    # explicit lead; stacks of 5 points
+    model = _mode_models()[case]
+    monkeypatch.setattr(spectra, "_STACK_ENTRIES", 5 * 64)
+    res = assert_same_records(model, np.linspace(-4.1, 4.1, 41) + 1e-3, eta)
+    assert sum(r.ok for r in res.records) > 35
+
+
+def _count_h00_eigh(monkeypatch, h00s):
+    """Patch eigh to count the h00 blocks among its arguments, one entry per call."""
+    calls, real = [], np.linalg.eigh
+
+    def eigh(a, *args):
+        mats = a.reshape((-1,) + a.shape[-2:])
+        calls.append(sum(any(np.array_equal(m, h) for h in h00s) for m in mats))
+        return real(a, *args)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    return calls
+
+
+def test_h00_diagonalized_once_per_lead_and_k_not_per_point(monkeypatch):
+    strip = strip_model(width=8)
+    h00 = build_lead_blocks(strip.lead_l).h00
+    calls = _count_h00_eigh(monkeypatch, [h00])
+    monkeypatch.setattr(spectra, "_STACK_ENTRIES", 3 * 64)  # 14 lead stacks
+    sweep(strip, np.linspace(-3.9, 3.9, 40), eta=1e-6)
+    assert sum(calls) == 1
+    calls.clear()
+    solve_point(strip, 0.3, 1e-6)
+    assert sum(calls) == 1
+    calls.clear()
+    # the peak search: once for its lead values, plus once per point that
+    # failed a stacked gate and went through the per-point path
+    real_at, rerun = spectra._max_lambda_at, []
+    monkeypatch.setattr(spectra, "_max_lambda_at",
+                        lambda *a: rerun.append(a) or real_at(*a))
+    report = spectra.detect_peaks(strip, np.linspace(-1.0, 1.0, 40), [1e-7, 1e-6])
+    assert not report.peaks and sum(calls) == 1 + len(rerun) and len(rerun) < 5
+
+    # a mixed model: the ladder lead once at each of the three k of the sweep
+    model = parse_model_dict({"lead_left": {"preset": "ladder", "params": {"t_perp": 0.6}},
+                              "lead_right": {"preset": "square_strip",
+                                             "params": {"width": 2, "periodic": True}},
+                              "device": _device(np.random.default_rng(2), 2, 1, 1)})
+    calls = _count_h00_eigh(monkeypatch, [build_lead_blocks(model.lead_l).h00])
+    sweep(model, np.linspace(-3.0, 3.0, 30), eta=1e-6, k_list=[0.1, 0.2, 0.3])
+    assert sum(calls) == 3
+
+
+def test_general_leads_never_take_the_mode_route(monkeypatch):
+    # dimer and t_diag != 0 ladder: every decimation runs on the n = 2 blocks
+    sizes, real = [], embed._decimation_stack
+    monkeypatch.setattr(embed, "_decimation_stack",
+                        lambda h00, *a: sizes.append(h00.shape[-1]) or real(h00, *a))
+    ladder = {"preset": "ladder", "params": {"t_perp": 0.5, "t_diag": 0.2}}
+    for model in (dimer_model(0.5, 1.5),
+                  parse_model_dict({"lead_left": ladder, "lead_right": ladder,
+                                    "device": _device(np.random.default_rng(4), 2, 2, 0)})):
+        sweep(model, np.linspace(-3.0, 3.0, 9), eta=1e-6)
+        solve_point(model, 0.4, 1e-8)
+        spectra.detect_peaks(model, np.linspace(-0.5, 0.5, 9), [1e-7, 1e-6])
+    assert sizes and set(sizes) == {2}

@@ -105,6 +105,19 @@ def test_fit_edge_command(chain_file, tmp_path):
     assert doc["side"] == "above"
 
 
+def test_fit_edge_fits_its_one_k(strip_file, tmp_path):
+    # periodic strip: the k = pi/2 band has its lower edge at -2, while -2 is
+    # the middle of the k = 0 band
+    exponents = []
+    for k in ("1.5707963267948966", "0.0"):
+        out = tmp_path / f"f{k}.json"
+        assert run(["fit-edge", "--model", strip_file, "--e0=-2.0", "--side=above",
+                    "--eta=1e-8", "--k", k, "--out", str(out)]) == 0
+        exponents.append(json.loads(out.read_text())["exponent"])
+    assert exponents[0] == pytest.approx(0.5, abs=0.02)
+    assert abs(exponents[1]) < 0.1
+
+
 def test_peaks_command(tmp_path):
     model_path = tmp_path / "dimer.json"
     model_path.write_text(serialize_model(dimer_model(0.5, 1.5)))
@@ -357,6 +370,8 @@ _NOT_PERIODIC = "k values supplied for a non-periodic model"
      "scatter takes one --k value, got 2"),
     ("strip_file", "peaks", ["--eta=1e-7", "--eta=1e-6", "--k=0.1", "--k=2.0"],
      "peaks takes one --k value, got 2"),
+    ("strip_file", "fit-edge", ["--e0=-2.0", "--eta=1e-8", "--k=0.1", "--k=2.0"],
+     "fit-edge takes one --k value, got 2"),
 ])
 def test_unused_k_exit_code(request, tmp_path, capsys, model_file, command, extra, message):
     out = tmp_path / "x"

@@ -331,6 +331,23 @@ def test_serialize_model_matches_json_dumps_empty_device():
     assert serialize_model(model) == _reference_text(model)
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1), (5, 1), (1, 6), (3, 0), (0, 0)])
+def test_matrix_parts_match_json_dumps(shape):
+    # each distinct [re, im] pair is formatted once and looked up per entry:
+    # signed zeros in either part stay apart, repeated values share a text
+    from embedchan.model import _matrix_parts
+
+    rng = np.random.default_rng(sum(shape))
+    parts = [0.0, -0.0, 1.0, -1.0, 0.1, 5e-324, 1e300]
+    m = np.empty(shape, complex)
+    m.real, m.imag = rng.choice(parts, size=shape), rng.choice(parts, size=shape)
+    if m.size:
+        m.flat[0], m.flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    doc = {"d": {"m": [[[v.real, v.imag] for v in row.tolist()] for row in m]}}
+    text = '{\n  "d": {\n    "m": ' + "".join(_matrix_parts(m)) + "\n  }\n}"
+    assert text == json.dumps(doc, indent=2)
+
+
 @pytest.mark.parametrize("digest", sorted(_GOLDEN_HASHES))
 def test_model_hash_golden(digest):
     assert model_hash(parse_model_dict(_GOLDEN_HASHES[digest])) == digest
