@@ -96,11 +96,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _add_common(p: argparse.ArgumentParser, sweep_flags: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, sweep_flags: bool = True,
+                formats: bool = False) -> None:
+    """The flags most commands share; ``--format`` only for the commands that
+    write both formats, so that no command accepts a flag it ignores."""
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None,
-                   help="output format (default depends on command)")
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default: csv)")
     p.add_argument("--k", action="append", type=_finite_float, default=None,
                    help="transverse momentum, repeatable")
     if sweep_flags:
@@ -143,7 +147,7 @@ def _cmd_channels(args) -> int:
     result = sweep(model, _grid(args), eta=args.eta, k_list=args.k)
     side = args.side
     _report_failures(result)
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         n = (model.lead_l if side == "left" else model.lead_r).surface_dim
         lines = ["E,k,index,lambda,open"]
         for r in result.records:
@@ -176,7 +180,7 @@ def _cmd_transmit(args) -> int:
     model = _load(args)
     result = sweep(model, _grid(args), eta=args.eta, k_list=args.k)
     _report_failures(result)
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         lines = ["E,k,T_trace,T_channel_sum,discrepancy,n_open_l,n_open_r"]
         for r in result.records:
             n_open = f"{r.n_open_l},{r.n_open_r}" if r.ok else "nan,nan"
@@ -212,7 +216,7 @@ def _cmd_bloch(args) -> int:
         spec = bloch_states(lead_blocks(model.lead_l, k), args.e)
         for idx, s in enumerate(spec.states):
             rows.append((args.e, k, idx, s))
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         lines = ["E,k,index,beta_re,beta_im,abs_beta,propagating,velocity,direction"]
         for e, k, idx, s in rows:
             beta_re = _fmt(s.beta.real) if np.isfinite(s.beta) else "inf"
@@ -401,18 +405,18 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("channels", help="channel eigenvalue sweep")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.add_argument("--eta", type=_finite_float, default=1e-6)
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.set_defaults(func=_cmd_channels)
 
     p = sub.add_parser("bloch", help="Bloch factors at one energy")
-    _add_common(p, sweep_flags=False)
+    _add_common(p, sweep_flags=False, formats=True)
     p.add_argument("--e", type=_finite_float, required=True)
     p.set_defaults(func=_cmd_bloch)
 
     p = sub.add_parser("transmit", help="transmission sweep, both routes")
-    _add_common(p)
+    _add_common(p, formats=True)
     p.add_argument("--eta", type=_finite_float, default=1e-6)
     p.set_defaults(func=_cmd_transmit)
 
@@ -454,18 +458,12 @@ def run_cli(argv: list[str]) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
-    except ModelValidationError as exc:
+    except (_UsageError, ModelValidationError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     except EmbedchanError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
 
 
 def main() -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -174,13 +175,6 @@ def _surface_green_stack(h00: Array, h01: Array, zeye: Array,
     return (u * gm) @ u.conj().transpose(0, 2, 1)
 
 
-def _decimation(h00: Array, h01: Array, z: complex, max_iter: int) -> Array:
-    """:func:`_surface_green_stack` at one point, transverse modes included."""
-    h00, h01 = h00[None], h01[None]
-    return _surface_green_stack(h00, h01, _zeye(np.array([z]), h00.shape[-1]),
-                                _transverse_modes(h00, h01), max_iter)[0]
-
-
 def _fixed_point_tol(g: Array, res: Array, tol: float) -> tuple[Array, Array]:
     """Residuals with NaN read as infinite, and the tolerance each must meet:
     absolute at order-unity norms, scale-relative next to a self-energy pole,
@@ -224,31 +218,90 @@ def _anti_hermitian(sigma: Array, vectors: bool) -> tuple[Array, ...]:
     return m, w, v, w.max(axis=1), np.maximum(TAU_PSD, 1e-12 * norm)
 
 
-def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
-                modes: tuple[Array, Array] | None) -> tuple[Array, ...]:
-    """Sigma, ImSigma and its eigenvalues and eigenvectors (see
-    :func:`_anti_hermitian`) of one lead at a stack of points (blocks of
-    shape (B, n, n), complex energies of shape (B,), the lead's transverse
-    modes at each point or None), and the mask of points that passed every
-    gate of :func:`embedding_potential` and :func:`anti_hermitian_part`
-    without the mode-matching fallback.
+# The gates of the lead core, in the order a point meets them; a failing
+# point carries (stage, error) for the first gate it fails.
+_FIXED_POINT, _SIGMA_IDENTITY, _NSD_GUARD = range(3)
 
-    Where the mask holds, every value is bitwise equal to the per-point
-    functions'.  The other points need the per-point path, which holds the
-    fallback and the error text.
+
+class _Lead(NamedTuple):
+    """The lead core at a stack of points (see :func:`_lead_stack`)."""
+
+    g: Array | None
+    sigma: Array
+    im: Array
+    w: Array
+    v: Array | None
+    errors: list[tuple[int, DecimationError] | None]
+
+
+def _doubled(h00: Array, h01: Array, zeye: Array, modes: tuple[Array, Array] | None) -> Array:
+    """:func:`_surface_green_stack` at the lead's depth limit.  One singular
+    slice fails a stacked LAPACK call, so then each point is doubled alone;
+    a point that fails alone gets a NaN g and the rescue."""
+    try:
+        return _surface_green_stack(h00, h01, zeye, modes, MAX_DOUBLINGS)
+    except np.linalg.LinAlgError:
+        if len(zeye) == 1:
+            return np.full(h00.shape, np.nan, dtype=complex)
+        return np.concatenate([
+            _doubled(h00[i:i + 1], h01[i:i + 1], zeye[i:i + 1],
+                     None if modes is None else (modes[0][i:i + 1], modes[1][i:i + 1]))
+            for i in range(len(zeye))])
+
+
+def _rescue(g: Array, res: float, h00: Array, h01: Array, zeye: Array,
+            z: complex) -> tuple[int, DecimationError] | None:
+    """Mode matching at one point (g of shape (n, n), blocks and z * 1 of
+    shape (1, n, n)) that failed the fixed-point gate.  Its g replaces the
+    doubled one in place when its residual is smaller; the error when
+    neither meets the tolerance."""
+    try:
+        g2 = _mode_matching(h00[0], h01[0], z)
+    except DecimationError as exc:
+        return _FIXED_POINT, exc
+    (res2,) = _fixed_point_residual(g2[None], h00, h01, zeye)
+    if res2 < res:  # a NaN res2 keeps the decimation result
+        g[...], res = g2, res2
+    tol = FIXED_POINT_TOL * max(1.0, float(np.abs(g).max()))
+    if res <= tol:
+        return None
+    return _FIXED_POINT, DecimationError(
+        f"surface Green function did not converge after {MAX_DOUBLINGS} doublings "
+        f"(last residual {res:.3e} > {tol:g})", residual=float(res))
+
+
+def _nsd_error(top: float) -> DecimationError:
+    return DecimationError(f"anti-Hermitian part has positive eigenvalue {top:.3e}; "
+                           "the retarded branch was not selected")
+
+
+def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
+                modes: tuple[Array, Array] | None) -> _Lead:
+    """The one lead core: g, Sigma, ImSigma and its eigenvalues and
+    eigenvectors (see :func:`_anti_hermitian`) of one lead at a stack of
+    points (blocks of shape (B, n, n), complex energies of shape (B,), the
+    lead's transverse modes at each point or None), and each point's
+    (stage, error) for the first gate it fails, or None.
+
+    A point that fails the fixed-point gate gets the mode-matching fallback
+    here.  Every point gives the same bits alone as in a stack, so the
+    per-point functions are this core on a stack of one.
     """
     zeye = _zeye(z, h00.shape[-1])
-    try:
-        g = _surface_green_stack(h00, h01, zeye, modes, MAX_DOUBLINGS)
-        res, tol = _fixed_point_tol(g, _fixed_point_residual(g, h00, h01, zeye),
-                                    FIXED_POINT_TOL)
-        sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
-        m, w, v, top, top_tol = _anti_hermitian(sigma, vectors)
-    except np.linalg.LinAlgError:  # one failed slice fails the whole stack
-        nan = np.full(h00.shape, np.nan, dtype=complex)
-        return (nan, nan, np.full(h00.shape[:2], np.nan), nan if vectors else None,
-                np.zeros(len(z), bool))
-    return sigma, m, w, v, (res <= tol) & (ident <= ident_tol) & (top <= top_tol)
+    g = _doubled(h00, h01, zeye, modes)
+    res, tol = _fixed_point_tol(g, _fixed_point_residual(g, h00, h01, zeye), FIXED_POINT_TOL)
+    errors = [None] * len(z)
+    for i in (~(res <= tol)).nonzero()[0]:
+        errors[i] = _rescue(g[i], res[i], h00[i:i + 1], h01[i:i + 1], zeye[i:i + 1], z[i])
+    sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
+    m, w, v, top, top_tol = _anti_hermitian(sigma, vectors)
+    for i in (~(ident <= ident_tol)).nonzero()[0]:
+        errors[i] = errors[i] or (_SIGMA_IDENTITY, DecimationError(
+            f"(z - h00 - Sigma) g = 1 violated with residual {ident[i]:.3e}",
+            residual=float(ident[i])))
+    for i in (~(top <= top_tol)).nonzero()[0]:
+        errors[i] = errors[i] or (_NSD_GUARD, _nsd_error(top[i]))
+    return _Lead(g, sigma, m, w, v, errors)
 
 
 def _transfer_pencil(h00: Array, h01: Array, z: complex) -> tuple[Array, Array]:
@@ -283,13 +336,18 @@ def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     return np.linalg.inv(z * np.eye(n) - h00 - h01 @ f)
 
 
-def surface_green(
-    blocks: HamiltonianBlocks,
-    e: float,
-    eta: float,
-    max_iter: int = MAX_DOUBLINGS,
-    tol: float = FIXED_POINT_TOL,
-) -> Array:
+def _lead_at(blocks: HamiltonianBlocks, e: float, eta: float, stage: int) -> _Lead:
+    """The lead core at one point; raises the error of a gate up to ``stage``."""
+    _check_eta(eta)
+    h00, h01 = blocks.h00[None], blocks.h01[None]
+    lead = _lead_stack(h00, h01, np.array([complex(e, eta)]), False, _transverse_modes(h00, h01))
+    (error,) = lead.errors
+    if error is not None and error[0] <= stage:
+        raise error[1]
+    return lead
+
+
+def surface_green(blocks: HamiltonianBlocks, e: float, eta: float) -> Array:
     """Retarded surface Green function of a semi-infinite lead.
 
     Parameters
@@ -299,49 +357,21 @@ def surface_green(
     e, eta : float
         Energy and positive imaginary part; eta > 0 selects the retarded
         (outgoing) branch and guarantees convergence.
-    max_iter : int
-        Maximum layer doublings before giving up.
-    tol : float
-        Acceptance threshold for the fixed-point residual
-        ``max|g (z - h00 - h01 g h01^dag) - 1|``.
 
     Notes
     -----
-    Layer doubling is the primary algorithm.  A lead whose h01 is exactly
-    h01[0, 0] * 1 (n >= 2) is doubled mode by mode: its n transverse modes
-    are independent chains (see :func:`_surface_green_stack`).  When e sits
-    within ~eta of an eigenvalue of a partially decimated block the doubling
-    loses digits to cancellation; in that case the mode-matching construction
-    from the transfer pencil is used instead.  The returned g always
-    satisfies the fixed point within ``tol`` or :class:`DecimationError` is
-    raised.
+    Layer doubling, at most ``MAX_DOUBLINGS`` of them, is the primary
+    algorithm.  A lead whose h01 is exactly h01[0, 0] * 1 (n >= 2) is doubled
+    mode by mode: its n transverse modes are independent chains (see
+    :func:`_surface_green_stack`).  When e sits within ~eta of an eigenvalue
+    of a partially decimated block the doubling loses digits to
+    cancellation; in that case the mode-matching construction from the
+    transfer pencil is used instead.  The returned g always satisfies the
+    fixed point ``max|g (z - h00 - h01 g h01^dag) - 1|`` within
+    ``FIXED_POINT_TOL`` (scale-relative next to a pole) or
+    :class:`DecimationError` is raised.
     """
-    _check_eta(eta)
-    z = complex(e, eta)
-    h00, h01 = blocks.h00[None], blocks.h01[None]
-    zeye = _zeye(np.array([z]), blocks.n)
-    try:
-        g = _decimation(blocks.h00, blocks.h01, z, max_iter)[None]
-        res = _fixed_point_residual(g, h00, h01, zeye)
-    except np.linalg.LinAlgError:
-        # resonant inner solve blew up; the mode-matching route below is exact
-        g = np.full(h00.shape, np.nan, dtype=complex)
-        res = np.array([np.inf])
-    (res,), (tol_eff,) = _fixed_point_tol(g, res, tol)
-    g = g[0]
-    if not res <= tol_eff:
-        g2 = _mode_matching(blocks.h00, blocks.h01, z)
-        (res2,) = _fixed_point_residual(g2[None], h00, h01, zeye)
-        if res2 < res:  # a NaN res2 keeps the decimation result
-            g, res = g2, res2
-        tol_eff = tol * max(1.0, float(np.abs(g).max()))
-    if not res <= tol_eff:
-        raise DecimationError(
-            f"surface Green function did not converge after {max_iter} doublings "
-            f"(last residual {res:.3e} > {tol_eff:g})",
-            residual=float(res),
-        )
-    return g
+    return _lead_at(blocks, e, eta, _FIXED_POINT).g[0]
 
 
 def embedding_potential(
@@ -357,17 +387,9 @@ def embedding_potential(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    g = surface_green(blocks, e, eta)
-    zeye = _zeye(np.array([complex(e, eta)]), blocks.n)
-    (sigma,), (res,), (tol,) = _sigma(g[None], blocks.h00[None], blocks.h01[None], zeye)
-    if not res <= tol:
-        raise DecimationError(
-            f"(z - h00 - Sigma) g = 1 violated with residual {res:.3e}", residual=float(res)
-        )
-    return EmbeddingPotential(
-        sigma=_freeze(sigma), energy=float(e), eta=float(eta), side=side, k=blocks.k,
-        surface_g=_freeze(g),
-    )
+    lead = _lead_at(blocks, e, eta, _SIGMA_IDENTITY)
+    return EmbeddingPotential(_freeze(lead.sigma[0]), float(e), float(eta), side, blocks.k,
+                              _freeze(lead.g[0]))
 
 
 def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
@@ -380,10 +402,7 @@ def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
     """
     (m,), _, _, (top,), (top_tol,) = _anti_hermitian(sig.sigma[None], vectors=False)
     if not top <= top_tol:
-        raise DecimationError(
-            f"anti-Hermitian part has positive eigenvalue {top:.3e}; "
-            "the retarded branch was not selected"
-        )
+        raise _nsd_error(top)
     return ImSigma(
         matrix=_freeze(m), energy=sig.energy, eta=sig.eta, side=sig.side, k=sig.k
     )

@@ -4,25 +4,26 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .channels import ChannelBasis, _basis, channel_decomposition, default_tau_open
+from .channels import ChannelBasis, _basis, default_tau_open
 from .embed import (
+    _NSD_GUARD,
     DEFAULT_ETA_SWEEP,
     TAU_PSD,
     EmbeddingPotential,
     ImSigma,
     _check_eta,
+    _freeze,
     _lead_stack,
     _transverse_modes,
-    anti_hermitian_part,
-    embedding_potential,
 )
 from .bloch import TAU_PROP
-from .errors import EmbedchanError, ModelValidationError
+from .errors import EmbedchanError, ModelValidationError, SingularSolveError
 from .model import (
     Array,
     HamiltonianBlocks,
@@ -35,11 +36,10 @@ from .transport import (
     DeviceGreenFunction,
     TransmissionResult,
     _contact_block,
+    _device_green,
     _device_matrix,
     _device_solve,
     _transmission,
-    device_green,
-    transmission,
 )
 
 # Sweeps push their points through every layer in stacks of at most this many
@@ -154,21 +154,27 @@ def solve_point(
     supplied eta inside gaps.  Sigma and its channels belong to the lead
     alone, so when both leads have the same blocks at the same k they are
     computed once and the right side reuses them.
+
+    This is the sweep pipeline (see :func:`_solve_stack`) on a stack of one
+    point: one ``eigh`` per distinct lead is both the NSD guard and the
+    channel basis.
     """
     _check_eta(eta)
     _check_finite((e,) if k is None else (e, k), "energy and k")
-    blocks_l, blocks_r = lead_blocks(model.lead_l, k), lead_blocks(model.lead_r, k)
-    same = _same_blocks(blocks_l, blocks_r)
-    sig_l = embedding_potential(blocks_l, e, eta, side="left")
-    sig_r = (replace(sig_l, side="right") if same
-             else embedding_potential(blocks_r, e, eta, side="right"))
-    im_l = anti_hermitian_part(sig_l)
-    im_r = replace(im_l, side="right") if same else anti_hermitian_part(sig_r)
-    ch_l = channel_decomposition(im_l, tau_open)
-    ch_r = replace(ch_l, side="right") if same else channel_decomposition(im_r, tau_open)
-    gdev = device_green(model.device, sig_l, sig_r, e, device_eta(ch_l.n_open, ch_r.n_open, eta))
-    res = transmission(gdev, im_l, im_r, ch_l, ch_r)
-    return PointSolution(sig_l, sig_r, im_l, im_r, ch_l, ch_r, res, gdev)
+    e, eta = float(e), float(eta)
+    leads = _leads(model, (k,))
+    sides, (out,) = _solve_stack(model, np.array([e]), [0], leads, eta, tau_open)
+    if isinstance(out, EmbedchanError):
+        raise out
+    ch_l, ch_r, result, gdev = out
+    if len(sides) == 1:
+        ch_r = replace(ch_l, side="right")
+    (*_, (k_l,)), (*_, (k_r,)) = leads[0], leads[-1]  # the k each lead's blocks take
+    both = [(sides[0], k_l, "left"), (sides[-1], k_r, "right")]
+    sig = [EmbeddingPotential(_freeze(s.sigma[0]), e, eta, side, lead_k, _freeze(s.g[0]))
+           for s, lead_k, side in both]
+    im = [ImSigma(_freeze(s.im[0]), e, eta, side, lead_k) for s, lead_k, side in both]
+    return PointSolution(*sig, *im, ch_l, ch_r, result, gdev)
 
 
 def _normalize_k_list(model: Model, k_list) -> tuple[float | None, ...]:
@@ -250,50 +256,40 @@ def _record(e: float, k: float | None, ch_l: ChannelBasis, ch_r: ChannelBasis,
     )
 
 
-def _point_record(model: Model, e: float, eta: float, k: float | None,
-                  tau_open: float | None) -> PointRecord:
-    """The record of one point through :func:`solve_point`, failure included."""
-    try:
-        sol = solve_point(model, e, eta, k, tau_open)
-    except EmbedchanError as exc:
-        return PointRecord(e=e, k=k, status=f"error: {exc}")
-    return _record(e, k, sol.channels_l, sol.channels_r, sol.result)
-
-
-def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None, ...],
-                   eta: float, tau_open: float | None) -> list[PointRecord]:
-    """Records of every (E, k) point, energy-major, each the one
-    :func:`solve_point` gives.
-
-    The points go through the layers in stacks: the decimation with its
-    gates, Sigma, ImSigma and its one ``eigh``, which is both the NSD guard
-    and the channel basis, the device solve with its identity gate and g_rl.
-    Only the transmission, whose open-channel counts differ between points,
-    runs point by point.  Every stacked array holds at most
-    ``_STACK_ENTRIES`` complex entries.  A point that fails a gate, and every
-    point of a stack whose LAPACK call raised, goes through
-    :func:`solve_point` instead, which holds the mode-matching fallback and
-    the error text.  When both leads have the same blocks at every k, the
-    right side reuses the left stack.  A lead with transverse modes (see
-    :func:`embed._transverse_modes`) has them computed here, once per sweep.
-    """
+def _leads(model: Model, ks) -> list[tuple[Array, Array, tuple | None, list]]:
+    """The distinct leads of a model at the momenta ``ks``: h00 and h01
+    stacked over ks, their transverse modes (see
+    :func:`embed._transverse_modes`, computed here once per lead and k) and
+    the k each block was built at.  When both leads have the same blocks at
+    every k, the right side is the left one and the list holds one lead."""
     blocks_l, blocks_r = ([lead_blocks(spec, k) for k in ks]
                           for spec in (model.lead_l, model.lead_r))
     same = all(_same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
     leads = []
     for bs in [blocks_l] if same else [blocks_l, blocks_r]:
-        h00, h01 = np.stack([b.h00 for b in bs]), np.stack([b.h01 for b in bs])
-        leads.append((h00, h01, _transverse_modes(h00, h01)))
-    n = max(blocks_l[0].n, blocks_r[0].n)
-    step = max(1, _STACK_ENTRIES // (n * n))
+        h00, h01 = np.array([b.h00 for b in bs]), np.array([b.h01 for b in bs])
+        leads.append((h00, h01, _transverse_modes(h00, h01), [b.k for b in bs]))
+    return leads
+
+
+def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None, ...],
+                   eta: float, tau_open: float | None) -> list[PointRecord]:
+    """Records of every (E, k) point, energy-major, each the one
+    :func:`solve_point` gives, the points going through
+    :func:`_solve_stack` in stacks whose lead arrays hold at most
+    ``_STACK_ENTRIES`` complex entries."""
+    leads = _leads(model, ks)
+    step = max(1, _STACK_ENTRIES // max(h00.shape[-1] for h00, *_ in leads) ** 2)
     points = [(e, k) for e in grid for k in ks]
     energies = np.repeat(np.array(grid), len(ks))
     kidx = np.tile(np.arange(len(ks)), len(grid))
     records: list[PointRecord] = []
     for start in range(0, len(points), step):
-        stop = min(start + step, len(points))
-        records += _stack_records(model, points[start:stop], energies[start:stop],
-                                  kidx[start:stop], leads, eta, tau_open)
+        chunk = points[start:start + step]
+        _, out = _solve_stack(model, energies[start:start + step], kidx[start:start + step],
+                              leads, eta, tau_open, lambda p, *solved: _record(*chunk[p], *solved))
+        records += [o if isinstance(o, PointRecord) else PointRecord(*pt, status=f"error: {o}")
+                    for pt, o in zip(chunk, out)]
     return records
 
 
@@ -306,8 +302,9 @@ def _complex(re: Array, im) -> Array:
 
 
 def _at(h: Array, kidx: Array) -> Array:
-    """Blocks ``h`` (one per k) at each point's k; a view when there is one k."""
-    return np.broadcast_to(h[0], (len(kidx),) + h.shape[1:]) if len(h) == 1 else h[kidx]
+    """Blocks ``h`` (one per k) at each point's k; a view when there is one k
+    and more than one point."""
+    return np.broadcast_to(h, (len(kidx),) + h.shape[1:]) if len(h) == 1 < len(kidx) else h[kidx]
 
 
 def _modes_at(modes: tuple[Array, Array] | None, kidx: Array) -> tuple[Array, Array] | None:
@@ -315,44 +312,78 @@ def _modes_at(modes: tuple[Array, Array] | None, kidx: Array) -> tuple[Array, Ar
     return None if modes is None else (_at(modes[0], kidx), _at(modes[1], kidx))
 
 
-def _stack_records(model: Model, points: list[tuple[float, float | None]], energies: Array,
-                   kidx: Array, leads: list[tuple[Array, Array, tuple | None]], eta: float,
-                   tau_open: float | None) -> list[PointRecord]:
-    """Records of one stack of points (see :func:`_sweep_records`); ``leads``
-    holds h00, h01 and the transverse modes of each distinct lead at every k,
-    ``kidx`` the k of each point."""
+def _first_error(err_l, err_r) -> EmbedchanError | None:
+    """The error :func:`solve_point` raises first of the two leads' core
+    errors ((stage, error) or None): the embeddings, left then right, come
+    before the NSD guards."""
+    if err_l is None or (err_r is not None and err_r[0] < _NSD_GUARD <= err_l[0]):
+        err_l = err_r
+    return None if err_l is None else err_l[1]
+
+
+def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: float,
+                 tau_open: float | None, keep=None) -> tuple[list, list]:
+    """The pipeline at a stack of points: ``energies``, and ``kidx`` the
+    index of each point's k in ``leads`` (see :func:`_leads`).
+
+    Each distinct lead goes through the lead core
+    (:func:`embed._lead_stack`), whose one ``eigh`` is both the NSD guard and
+    the channel basis.  The device solve with its identity gate and g_rl runs
+    stacked too, in stacks of at most ``_STACK_ENTRIES`` complex entries,
+    releasing each full device Green function once g_rl is taken; only the
+    transmission, whose open-channel counts differ between points, runs
+    point by point.  A point whose stacked device solve fails is solved
+    alone, for its error text.
+
+    A sweep passes ``keep(p, ch_l, ch_r, result)``, which turns each solved
+    point into what the sweep keeps, so that no point's channel objects
+    outlive it.  Without ``keep`` (the one point of :func:`solve_point`) the
+    surface g is kept, the device is solved alone for its full Green
+    function, and a solved point is (ch_l, ch_r, result, gdev).
+
+    Returns the lead core of each distinct lead and, per point, the error
+    :func:`solve_point` raises or the solved point.
+    """
     z = _complex(energies, eta)
-    sides = [_lead_stack(_at(h00, kidx), _at(h01, kidx), z, True, _modes_at(modes, kidx))
-             for h00, h01, modes in leads]
-    (sig_l, im_l, _, _, ok_l), (sig_r, im_r, _, _, ok_r) = sides[0], sides[-1]
-    idx = np.flatnonzero(ok_l & ok_r)
+    sides = []
+    for h00, h01, modes, _ in leads:
+        sides.append(_lead_stack(_at(h00, kidx), _at(h01, kidx), z, True, _modes_at(modes, kidx)))
+        if keep is not None:  # a sweep frees g before the next lead and the device layer
+            sides[-1] = sides[-1]._replace(g=None)
+    left, right = sides[0], sides[-1]
+    out = [_first_error(a, b) for a, b in zip(left.errors, right.errors)]
+    idx = np.flatnonzero([err is None for err in out])
     tau = default_tau_open(eta) if tau_open is None else tau_open
-    n_open = [np.count_nonzero(lam[idx] < -tau, axis=1) for _, _, lam, _, _ in sides]
+    n_open = [(s.w[idx] < -tau).sum(axis=1) for s in sides]
     eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])]
-    z_dev = _complex(energies[idx], eta_dev)
 
     dev = model.device
-    records: list[PointRecord | None] = [None] * len(points)
     step = max(1, _STACK_ENTRIES // dev.n_device ** 2)
     for start in range(0, len(idx), step):
-        sel = idx[start:start + step]
-        try:
-            g, res = _device_solve(
-                _device_matrix(dev, sig_l[sel], sig_r[sel], z_dev[start:start + step]))
-        except np.linalg.LinAlgError:  # one singular slice fails the whole stack
-            continue
-        g_rl = _contact_block(dev.coupling_right, g, dev.coupling_left)
-        del g  # keep g_rl only: one N x N stack alive at a time
+        sel, res = idx[start:start + step], ()
+        if keep is not None:
+            with suppress(np.linalg.LinAlgError):  # one singular slice fails the whole stack
+                z_dev = _complex(energies[sel], eta_dev[start:start + step])
+                g, res = _device_solve(_device_matrix(dev, left.sigma[sel], right.sigma[sel],
+                                                      z_dev))
+                g_rl = _contact_block(dev.coupling_right, g, dev.coupling_left)
+                del g  # keep g_rl only: one N x N stack alive at a time
         for j, p in enumerate(sel):
-            if res[j] <= GREEN_IDENTITY_TOL:
-                e, k = points[p]
-                i = start + j
-                ch = [_basis(lam[p], vecs[p], e, eta, side, k, tau)
-                      for (_, _, lam, vecs, _), side in zip(sides, ("left", "right"))]
-                r = _transmission(g_rl[j], im_l[p], im_r[p], ch[0], ch[-1], e, eta_dev[i])
-                records[p] = _record(e, k, ch[0], ch[-1], r)
-    return [rec if rec is not None else _point_record(model, e, eta, k, tau_open)
-            for rec, (e, k) in zip(records, points)]
+            e, i = float(energies[p]), start + j
+            if j < len(res) and res[j] <= GREEN_IDENTITY_TOL:
+                grl = g_rl[j]
+            else:
+                try:
+                    gdev = _device_green(dev, left.sigma[p], right.sigma[p], e, eta_dev[i])
+                except SingularSolveError as exc:
+                    out[p] = exc
+                    continue
+                grl = gdev.g_rl
+            ch = [_basis(s.w[p], s.v[p], e, eta, side, lead[3][kidx[p]], tau)
+                  for s, lead, side in zip(sides, leads, ("left", "right"))]
+            r = _transmission(grl, left.im[p], right.im[p], ch[0], ch[-1], e, eta_dev[i])
+            out[p] = (ch[0], ch[-1], r, gdev) if keep is None else keep(p, ch[0], ch[-1], r)
+    return sides, out
 
 
 def _leading_lambda(record: PointRecord) -> float:
@@ -419,65 +450,50 @@ def fit_band_edge(
 _TREE_DEPTH = 3
 
 
-def _max_lambda_at(model: Model, e: float, eta: float, k: float | None) -> float:
-    """The left lead's part of :func:`solve_point`, then the largest |lambda|."""
-    im = anti_hermitian_part(embedding_potential(lead_blocks(model.lead_l, k), e, eta))
-    return float(np.abs(np.linalg.eigvalsh(im.matrix)).max())
-
-
-def _max_lambdas(blocks: HamiltonianBlocks, points: list[tuple[float, float]],
-                 modes: tuple[Array, Array] | None) -> Array:
-    """:func:`_max_lambda_at` at every (e, eta) point, bitwise, the lead
-    evaluated on stacks of points, each at its own eta; ``modes`` are the
-    lead's transverse modes (``_transverse_modes`` of its blocks).  NaN marks
-    a point that failed a stacked gate: it needs :func:`_max_lambda_at`
-    itself, which holds the fallback and the error text."""
-    n = blocks.n
-    step = max(1, _STACK_ENTRIES // (n * n))
+def _max_lambdas(h00: Array, h01: Array, modes: tuple[Array, Array] | None,
+                 points: list[tuple[float, float]]) -> list:
+    """A lead's largest |lambda| at every (e, eta) point, or the error
+    :func:`solve_point` would raise for the lead there; the lead (blocks of
+    shape (1, n, n), ``modes`` its transverse modes) goes through the lead
+    core on stacks of points, each at its own eta, reading ``eigvalsh``
+    values only."""
+    step = max(1, _STACK_ENTRIES // h00.shape[-1] ** 2)
     e, eta = np.array(points, dtype=float).reshape(-1, 2).T
-    h00, h01 = blocks.h00[None], blocks.h01[None]
-    vals = np.empty(len(points))
+    vals = []
     for start in range(0, len(points), step):
         z = _complex(e[start:start + step], eta[start:start + step])
         kidx = np.zeros(len(z), int)
-        _, _, w, _, ok = _lead_stack(_at(h00, kidx), _at(h01, kidx), z, False,
-                                     _modes_at(modes, kidx))
-        vals[start:start + len(z)] = np.where(ok, np.abs(w).max(axis=1), np.nan)
+        lead = _lead_stack(_at(h00, kidx), _at(h01, kidx), z, False, _modes_at(modes, kidx))
+        vals += [v if err is None else err[1]
+                 for v, err in zip(np.abs(lead.w).max(axis=1).tolist(), lead.errors)]
     return vals
 
 
 class _LeadValues:
-    """The left lead's :func:`_max_lambda_at` values for one :func:`detect_peaks`
+    """The left lead's :func:`_max_lambdas` values for one :func:`detect_peaks`
     call, memoised on the exact bits of (e, eta), so that -0.0 and 0.0 stay apart.
 
     :meth:`fetch` evaluates the points not known yet in one :func:`_max_lambdas`
-    call.  A point that failed a stacked gate is recomputed by
-    :func:`_max_lambda_at` only when :meth:`read` asks for it, so a prefetched
-    point that no search reads never raises.  The lead's transverse modes are
-    computed once, here.
+    call.  A point that failed has its error in the memo, and :meth:`read`
+    raises it, so a prefetched point that no search reads never raises.  The
+    lead's transverse modes are computed once, here.
     """
 
     def __init__(self, model: Model, k: float | None) -> None:
-        self.model, self.k = model, k
-        self.blocks = lead_blocks(model.lead_l, k)
-        self.modes = _transverse_modes(self.blocks.h00[None], self.blocks.h01[None])
-        self.memo: dict[bytes, float] = {}
+        blocks = lead_blocks(model.lead_l, k)
+        h00, h01 = blocks.h00[None], blocks.h01[None]
+        self.lead = h00, h01, _transverse_modes(h00, h01)  # blocks and modes for _max_lambdas
+        self.memo: dict[bytes, float | EmbedchanError] = {}
 
     def fetch(self, points) -> None:
-        new = {}
-        for p in points:
-            key = struct.pack("dd", *p)
-            if key not in self.memo:
-                new[key] = p
+        new = {key: p for p in points if (key := struct.pack("dd", *p)) not in self.memo}
         if new:
-            self.memo.update(zip(new, _max_lambdas(self.blocks, list(new.values()),
-                                                   self.modes).tolist()))
+            self.memo.update(zip(new, _max_lambdas(*self.lead, [*new.values()])))
 
     def read(self, e: float, eta: float) -> float:
-        key = struct.pack("dd", e, eta)
-        value = self.memo[key]
-        if math.isnan(value):
-            value = self.memo[key] = _max_lambda_at(self.model, e, eta, self.k)
+        value = self.memo[struct.pack("dd", e, eta)]
+        if isinstance(value, EmbedchanError):
+            raise value
         return value
 
     def run(self, search):

@@ -105,9 +105,15 @@ def device_green(
     """
     if not eta >= 0.0:
         raise ValueError("eta must be >= 0")
+    return _device_green(device, sig_l.sigma, sig_r.sigma, e, eta)
+
+
+def _device_green(device: DeviceSpec, sigma_l: Array, sigma_r: Array, e: float,
+                  eta: float) -> DeviceGreenFunction:
+    """:func:`device_green` from the two self-energies: the device solve of
+    one point, its identity gate and its error text."""
     cl, cr = device.coupling_left, device.coupling_right
-    a = _device_matrix(device, sig_l.sigma[None], sig_r.sigma[None],
-                       np.array([complex(e, eta)]))
+    a = _device_matrix(device, sigma_l[None], sigma_r[None], np.array([complex(e, eta)]))
     try:
         (g,), (res,) = _device_solve(a)
     except np.linalg.LinAlgError:

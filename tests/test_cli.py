@@ -341,15 +341,12 @@ def test_model_hashed_once_per_command(chain_file, tmp_path, monkeypatch, comman
 
 
 def test_scatter_solves_the_device_once(chain_file, tmp_path, monkeypatch):
-    import embedchan.cli as cli
     import embedchan.spectra as spectra
     import embedchan.transport as transport
 
-    real, calls = transport.device_green, []
-    for module in (cli, spectra, transport):
-        if getattr(module, "device_green", None) is real:
-            monkeypatch.setattr(module, "device_green",
-                                lambda *a: calls.append(1) or real(*a))
+    real, calls = transport._device_solve, []
+    for module in (spectra, transport):
+        monkeypatch.setattr(module, "_device_solve", lambda *a: calls.append(1) or real(*a))
     assert run(["scatter", "--model", chain_file, "--e=0.3",
                 "--out", str(tmp_path / "s.json")]) == 0
     assert len(calls) == 1
@@ -379,3 +376,38 @@ def test_unused_k_exit_code(request, tmp_path, capsys, model_file, command, extr
     assert run([command, "--model", path, "--out", str(out), *extra]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# --format only where a command writes either format
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("scatter", ["--e=0.3"]),
+    ("fit-edge", ["--e0=-2.0", "--eta=1e-8"]),
+    ("peaks", ["--eta=1e-7", "--eta=1e-6"]),
+    ("validate", []),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_rejected_where_unused(chain_file, tmp_path, capsys, command, extra, fmt):
+    out = tmp_path / "x"
+    assert run([command, "--model", chain_file, "--out", str(out), f"--format={fmt}",
+                *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: unrecognized arguments: --format={fmt}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("channels", ["--npts=3"]),
+    ("transmit", ["--npts=3"]),
+    ("bloch", ["--e=0.3"]),
+])
+def test_format_chooses_the_output_of_commands_that_write_both(chain_file, tmp_path,
+                                                               command, extra):
+    out = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, path in out.items():
+        assert run([command, "--model", chain_file, "--out", str(path), f"--format={fmt}",
+                    *extra]) == 0
+    json.loads(out["json"].read_text())
+    assert out["csv"].read_text().split("\n", 1)[0].startswith("E,k,")

@@ -182,8 +182,13 @@ def _nan_matrix(n=1):
     return np.full((n, n), np.nan, dtype=complex)
 
 
+def _doubled(g):
+    """A stand-in for the doubling that returns g at every point of a stack."""
+    return lambda h00, h01, zeye, max_iter: np.broadcast_to(g, h00.shape).copy()
+
+
 def test_surface_green_gate_rejects_nan_from_both_routes(monkeypatch):
-    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: _nan_matrix())
+    monkeypatch.setattr(embed, "_decimation_stack", _doubled(_nan_matrix()))
     monkeypatch.setattr(embed, "_mode_matching", lambda h00, h01, z: _nan_matrix())
     with pytest.raises(DecimationError):
         surface_green(chain_blocks(), 0.3, 1e-8)
@@ -192,7 +197,7 @@ def test_surface_green_gate_rejects_nan_from_both_routes(monkeypatch):
 def test_surface_green_fallback_pick_keeps_finite_result(monkeypatch):
     # decimation misses the tolerance and the fallback returns NaN: the NaN
     # result must neither be picked nor pass the final gate
-    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: np.array([[0.1j]]))
+    monkeypatch.setattr(embed, "_decimation_stack", _doubled(np.array([[0.1j]])))
     monkeypatch.setattr(embed, "_mode_matching", lambda h00, h01, z: _nan_matrix())
     with pytest.raises(DecimationError) as info:
         surface_green(chain_blocks(), 0.3, 1e-8)
@@ -200,14 +205,34 @@ def test_surface_green_fallback_pick_keeps_finite_result(monkeypatch):
 
 
 def test_surface_green_fallback_still_rescues(monkeypatch):
-    monkeypatch.setattr(embed, "_decimation", lambda h00, h01, z, max_iter: _nan_matrix())
+    monkeypatch.setattr(embed, "_decimation_stack", _doubled(_nan_matrix()))
     g = surface_green(chain_blocks(), 0.3, 1e-8)
     assert g[0, 0] == pytest.approx(chain_surface_green_exact(0.3, 1.0, 1e-8), abs=1e-10)
 
 
+def _sigma_residual(monkeypatch, value):
+    """Make the (z - h00 - Sigma) g = 1 residual read ``value`` at every point."""
+    real = embed._sigma
+
+    def sigma(g, h00, h01, zeye):
+        s, res, tol = real(g, h00, h01, zeye)
+        return s, np.full_like(res, value), tol
+
+    monkeypatch.setattr(embed, "_sigma", sigma)
+
+
 def test_embedding_potential_gate_rejects_nan(monkeypatch):
-    monkeypatch.setattr(embed, "surface_green", lambda blocks, e, eta: _nan_matrix())
-    with pytest.raises(DecimationError):
+    _sigma_residual(monkeypatch, np.nan)
+    with pytest.raises(DecimationError, match=r"\(z - h00 - Sigma\) g = 1 violated"):
+        embedding_potential(chain_blocks(), 0.3, 1e-8)
+
+
+def test_surface_green_returns_g_when_only_the_sigma_identity_fails(monkeypatch):
+    # the Sigma identity is embedding_potential's gate, not surface_green's
+    g = surface_green(chain_blocks(), 0.3, 1e-8)
+    _sigma_residual(monkeypatch, 1.0)
+    assert surface_green(chain_blocks(), 0.3, 1e-8).tobytes() == g.tobytes()
+    with pytest.raises(DecimationError, match="violated with residual 1.000e[+]00"):
         embedding_potential(chain_blocks(), 0.3, 1e-8)
 
 

@@ -324,14 +324,21 @@ def test_fit_band_edge_repeated_k_fits_first_k_once():
 
 
 def _count_lead_evaluations(monkeypatch):
-    calls = []
+    """Patch the lead core to record each call's h01 blocks."""
+    calls, real = [], spectra._lead_stack
 
-    def counted(blocks, e, eta, side="left"):
-        calls.append(side)
-        return embedding_potential(blocks, e, eta, side=side)
+    def counted(h00, h01, *args):
+        calls.append(h01)
+        return real(h00, h01, *args)
 
-    monkeypatch.setattr(spectra, "embedding_potential", counted)
+    monkeypatch.setattr(spectra, "_lead_stack", counted)
     return calls
+
+
+def _sides(model, calls, k=None):
+    """The lead each recorded core call was on."""
+    blocks_l = build_lead_blocks(model.lead_l, k if model.lead_l.requires_momentum else None)
+    return ["left" if np.array_equal(h01[0], blocks_l.h01) else "right" for h01 in calls]
 
 
 def _assert_right_side_independent(model, sol, e, eta, k=None):
@@ -360,7 +367,7 @@ def test_identical_leads_evaluated_once(monkeypatch, make, e, k):
     model = make()
     calls = _count_lead_evaluations(monkeypatch)
     sol = solve_point(model, e, 1e-8, k)
-    assert calls == ["left"]
+    assert _sides(model, calls, k) == ["left"]
     _assert_right_side_independent(model, sol, e, 1e-8, k)
 
 
@@ -372,7 +379,7 @@ def test_different_leads_evaluated_twice(monkeypatch):
     })
     calls = _count_lead_evaluations(monkeypatch)
     sol = solve_point(model, 0.3, 1e-8)
-    assert calls == ["left", "right"]
+    assert _sides(model, calls) == ["left", "right"]
     _assert_right_side_independent(model, sol, 0.3, 1e-8)
     assert not np.array_equal(sol.sig_l.sigma, sol.sig_r.sigma)
 
@@ -391,10 +398,28 @@ def test_equal_arrays_at_different_k_evaluated_twice(monkeypatch):
     })
     calls = _count_lead_evaluations(monkeypatch)
     sol = solve_point(model, 0.1, 1e-8, k)
-    assert calls == ["left", "right"]
+    assert len(calls) == 2
     assert sol.sig_l.k == fold_momentum(k) and sol.sig_r.k is None
     assert np.array_equal(sol.sig_l.sigma, sol.sig_r.sigma)
     _assert_right_side_independent(model, sol, 0.1, 1e-8, k)
+
+
+@pytest.mark.parametrize("make, n_leads", [
+    (impurity_chain_model, 1),
+    (lambda: dimer_model(0.5, 1.5), 1),
+    (lambda: parse_model_dict({"lead_left": chain_lead(), "lead_right": chain_lead(t=1.5),
+                               "device": {"h": [[0.2]], "coupling_left": [[1.0]],
+                                          "coupling_right": [[1.0]]}}), 2),
+])
+def test_solve_point_one_eigh_per_distinct_lead(monkeypatch, make, n_leads):
+    # the one eigh of ImSigma is both the NSD guard and the channel basis
+    model, calls = make(), []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *args, _real=real, _name=name:
+                            calls.append(_name) or _real(a, *args))
+    solve_point(model, 0.3, 1e-8)
+    assert calls == ["eigh"] * n_leads
 
 
 def test_identical_leads_sweep_matches_independent_right_side():
