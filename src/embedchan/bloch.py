@@ -16,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .channels import ChannelBasis, fix_phase, flux
-from .embed import ImSigma, _transfer_pencil
+from .embed import ImSigma, _pencil_eig, _transfer_pencil
 from .errors import BlochSolveError, ChannelCountMismatchError, FluxNormalizationError
 from .model import Array, HamiltonianBlocks
 
@@ -91,7 +90,7 @@ def bloch_states(blocks: HamiltonianBlocks, e: float, tau_prop: float = TAU_PROP
     h00, h01 = blocks.h00, blocks.h01
     n = blocks.n
     a, b = _transfer_pencil(h00, h01, e)
-    w, v = sla.eig(a, b)
+    w, v = _pencil_eig(a, b)
     if np.any(np.isnan(w)):
         raise BlochSolveError(
             "defective or ill-conditioned Bloch pencil "

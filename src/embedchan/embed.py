@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DecimationError, ModelValidationError
 from .model import Array, HamiltonianBlocks
@@ -275,13 +274,12 @@ def _nsd_error(top: float) -> DecimationError:
                            "the retarded branch was not selected")
 
 
-def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
-                modes: tuple[Array, Array] | None) -> _Lead:
-    """The one lead core: g, Sigma, ImSigma and its eigenvalues and
-    eigenvectors (see :func:`_anti_hermitian`) of one lead at a stack of
-    points (blocks of shape (B, n, n), complex energies of shape (B,), the
-    lead's transverse modes at each point or None), and each point's
-    (stage, error) for the first gate it fails, or None.
+def _lead_sigma(h00: Array, h01: Array, z: Array,
+                modes: tuple[Array, Array] | None) -> tuple[Array, Array, list]:
+    """The lead core up to the Sigma identity: g and Sigma of one lead at a
+    stack of points (blocks of shape (B, n, n), complex energies of shape
+    (B,), the lead's transverse modes at each point or None), and each
+    point's (stage, error) for the first gate it fails, or None.
 
     A point that fails the fixed-point gate gets the mode-matching fallback
     here.  Every point gives the same bits alone as in a stack, so the
@@ -294,11 +292,20 @@ def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
     for i in (~(res <= tol)).nonzero()[0]:
         errors[i] = _rescue(g[i], res[i], h00[i:i + 1], h01[i:i + 1], zeye[i:i + 1], z[i])
     sigma, ident, ident_tol = _sigma(g, h00, h01, zeye)
-    m, w, v, top, top_tol = _anti_hermitian(sigma, vectors)
     for i in (~(ident <= ident_tol)).nonzero()[0]:
         errors[i] = errors[i] or (_SIGMA_IDENTITY, DecimationError(
             f"(z - h00 - Sigma) g = 1 violated with residual {ident[i]:.3e}",
             residual=float(ident[i])))
+    return g, sigma, errors
+
+
+def _lead_stack(h00: Array, h01: Array, z: Array, vectors: bool,
+                modes: tuple[Array, Array] | None) -> _Lead:
+    """The one lead core: :func:`_lead_sigma`, then ImSigma and its
+    eigenvalues and eigenvectors (see :func:`_anti_hermitian`) with the NSD
+    guard."""
+    g, sigma, errors = _lead_sigma(h00, h01, z, modes)
+    m, w, v, top, top_tol = _anti_hermitian(sigma, vectors)
     for i in (~(top <= top_tol)).nonzero()[0]:
         errors[i] = errors[i] or (_NSD_GUARD, _nsd_error(top[i]))
     return _Lead(g, sigma, m, w, v, errors)
@@ -315,6 +322,44 @@ def _transfer_pencil(h00: Array, h01: Array, z: complex) -> tuple[Array, Array]:
             np.block([[eye, zero], [zero, h01]]))
 
 
+# Shifts of :func:`_pencil_eig`, tried in order: off the unit circle, where
+# propagating Bloch states lie, away from 0, where a rank-deficient h01 puts
+# beta = 0, and off the real axis, where real leads put their evanescent beta.
+_PENCIL_SHIFTS = tuple(r * np.exp(1j * phase) for r, phase in
+                       ((0.63, 0.91), (1.59, 2.27), (0.41, -1.93), (2.37, -0.59)))
+# Largest backward error |gamma A v - alpha B v| / (|gamma| |A| + |alpha| |B|)
+# an eigenpair (alpha / gamma, v) may have: QZ reaches a few eps, and a shift
+# too close to an eigenvalue misses by orders of magnitude.
+_PENCIL_BACKWARD_TOL = 1e-12
+
+
+def _pencil_eig(a: Array, b: Array) -> tuple[Array, Array]:
+    """Eigenvalues beta and unit eigenvectors v of the pencil A v = beta B v.
+
+    Shift and invert: the eigenpairs (mu, v) of (A - sB)^-1 B give beta =
+    s + 1/mu, and mu = 0 (B v = 0) gives beta = inf.  The shift is the first
+    of ``_PENCIL_SHIFTS`` at which A - sB is invertible and every eigenpair
+    meets ``_PENCIL_BACKWARD_TOL`` on (A, B) itself.  When none does (a
+    singular pencil, such as h01 = 0 at an eigenvalue of h00), every
+    eigenpair is NaN, as QZ gives 0/0 there.
+    """
+    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    for s in _PENCIL_SHIFTS:
+        try:
+            mu, v = np.linalg.eig(np.linalg.solve(a - s * b, b))
+        except np.linalg.LinAlgError:
+            continue
+        alpha = 1.0 + s * mu  # beta = alpha / mu
+        err = np.linalg.norm(a @ v * mu - b @ v * alpha, axis=0) / (
+            np.abs(mu) * norm_a + np.abs(alpha) * norm_b)
+        if err.max() <= _PENCIL_BACKWARD_TOL:
+            beta = np.full(mu.shape, complex(np.inf))
+            nonzero = mu != 0
+            beta[nonzero] = s + 1.0 / mu[nonzero]
+            return beta, v
+    return np.full(len(a), complex(np.nan)), np.full(a.shape, complex(np.nan))
+
+
 def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     """Surface Green function from the decaying modes of the transfer pencil.
 
@@ -324,7 +369,7 @@ def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     Stable at energies where the decimation inner solves become resonant.
     """
     n = h00.shape[0]
-    w, v = sla.eig(*_transfer_pencil(h00, h01, z))
+    w, v = _pencil_eig(*_transfer_pencil(h00, h01, z))
     finite = np.where(np.isfinite(w))[0]
     if finite.size < n:
         raise DecimationError(
@@ -336,15 +381,16 @@ def _mode_matching(h00: Array, h01: Array, z: complex) -> Array:
     return np.linalg.inv(z * np.eye(n) - h00 - h01 @ f)
 
 
-def _lead_at(blocks: HamiltonianBlocks, e: float, eta: float, stage: int) -> _Lead:
-    """The lead core at one point; raises the error of a gate up to ``stage``."""
+def _lead_at(blocks: HamiltonianBlocks, e: float, eta: float, stage: int) -> tuple[Array, Array]:
+    """g and Sigma of the lead at one point (see :func:`_lead_sigma`); raises
+    the error of a gate up to ``stage``."""
     _check_eta(eta)
     h00, h01 = blocks.h00[None], blocks.h01[None]
-    lead = _lead_stack(h00, h01, np.array([complex(e, eta)]), False, _transverse_modes(h00, h01))
-    (error,) = lead.errors
+    (g,), (sigma,), (error,) = _lead_sigma(h00, h01, np.array([complex(e, eta)]),
+                                           _transverse_modes(h00, h01))
     if error is not None and error[0] <= stage:
         raise error[1]
-    return lead
+    return g, sigma
 
 
 def surface_green(blocks: HamiltonianBlocks, e: float, eta: float) -> Array:
@@ -371,7 +417,7 @@ def surface_green(blocks: HamiltonianBlocks, e: float, eta: float) -> Array:
     ``FIXED_POINT_TOL`` (scale-relative next to a pole) or
     :class:`DecimationError` is raised.
     """
-    return _lead_at(blocks, e, eta, _FIXED_POINT).g[0]
+    return _lead_at(blocks, e, eta, _FIXED_POINT)[0]
 
 
 def embedding_potential(
@@ -387,9 +433,8 @@ def embedding_potential(
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    lead = _lead_at(blocks, e, eta, _SIGMA_IDENTITY)
-    return EmbeddingPotential(_freeze(lead.sigma[0]), float(e), float(eta), side, blocks.k,
-                              _freeze(lead.g[0]))
+    g, sigma = _lead_at(blocks, e, eta, _SIGMA_IDENTITY)
+    return EmbeddingPotential(_freeze(sigma), float(e), float(eta), side, blocks.k, _freeze(g))
 
 
 def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:

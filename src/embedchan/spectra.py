@@ -260,15 +260,19 @@ def _leads(model: Model, ks) -> list[tuple[Array, Array, tuple | None, list]]:
     """The distinct leads of a model at the momenta ``ks``: h00 and h01
     stacked over ks, their transverse modes (see
     :func:`embed._transverse_modes`, computed here once per lead and k) and
-    the k each block was built at.  When both leads have the same blocks at
-    every k, the right side is the left one and the list holds one lead."""
-    blocks_l, blocks_r = ([lead_blocks(spec, k) for k in ks]
+    the k each point's block was built at, one per k of ``ks``.  A lead that
+    ignores k (not transverse-periodic) has one block, which serves every k.
+    When both leads have the same blocks at every k, the right side is the
+    left one and the list holds one lead."""
+    blocks_l, blocks_r = ([lead_blocks(spec, k) for k in (ks if spec.requires_momentum else ks[:1])]
                           for spec in (model.lead_l, model.lead_r))
-    same = all(_same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
+    same = len(blocks_l) == len(blocks_r) and all(
+        _same_blocks(a, b) for a, b in zip(blocks_l, blocks_r))
     leads = []
     for bs in [blocks_l] if same else [blocks_l, blocks_r]:
         h00, h01 = np.array([b.h00 for b in bs]), np.array([b.h01 for b in bs])
-        leads.append((h00, h01, _transverse_modes(h00, h01), [b.k for b in bs]))
+        leads.append((h00, h01, _transverse_modes(h00, h01),
+                      [b.k for b in bs] * (len(ks) // len(bs))))
     return leads
 
 
@@ -328,7 +332,9 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
 
     Each distinct lead goes through the lead core
     (:func:`embed._lead_stack`), whose one ``eigh`` is both the NSD guard and
-    the channel basis.  The device solve with its identity gate and g_rl runs
+    the channel basis.  A lead with one block in a sweep over several k goes
+    through it once per distinct energy, and is read at every k of that
+    energy.  The device solve with its identity gate and g_rl runs
     stacked too, in stacks of at most ``_STACK_ENTRIES`` complex entries,
     releasing each full device Green function once g_rl is taken; only the
     transmission, whose open-channel counts differ between points, runs
@@ -346,10 +352,22 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
     """
     z = _complex(energies, eta)
     sides = []
-    for h00, h01, modes, _ in leads:
-        sides.append(_lead_stack(_at(h00, kidx), _at(h01, kidx), z, True, _modes_at(modes, kidx)))
+    for h00, h01, modes, lead_ks in leads:
+        if len(h00) == 1 < len(lead_ks):
+            _, first, inverse = np.unique(energies.view(np.int64), return_index=True,
+                                          return_inverse=True)
+            zeros = np.zeros_like(first)
+            side = _lead_stack(_at(h00, zeros), _at(h01, zeros), z[first], True,
+                               _modes_at(modes, zeros))
+        else:
+            side, inverse = _lead_stack(_at(h00, kidx), _at(h01, kidx), z, True,
+                                        _modes_at(modes, kidx)), None
         if keep is not None:  # a sweep frees g before the next lead and the device layer
-            sides[-1] = sides[-1]._replace(g=None)
+            side = side._replace(g=None)
+        if inverse is not None:
+            side = side._make([None if x is None else x[inverse] for x in side[:-1]]
+                              + [[side.errors[i] for i in inverse]])
+        sides.append(side)
     left, right = sides[0], sides[-1]
     out = [_first_error(a, b) for a, b in zip(left.errors, right.errors)]
     idx = np.flatnonzero([err is None for err in out])

@@ -8,6 +8,7 @@ arithmetic, so records must agree to the last bit, which ``repr`` of the
 records checks (floats repr round-trip).
 """
 
+import collections
 import math
 from dataclasses import replace
 
@@ -194,18 +195,17 @@ def test_small_stacks_equal_per_point_loop(monkeypatch, entries):
 
 
 def _patch_core(monkeypatch, inject):
-    """Wrap the lead core where spectra and embed look it up: ``inject(h01,
-    z)`` gives per point a (stage, error) to put into the core's error
-    output, or None to keep the point's own."""
-    real = embed._lead_stack
+    """Wrap the lead core up to the Sigma identity, which both the stacked
+    core and the per-point functions call: ``inject(h01, z)`` gives per
+    point a (stage, error) to put into the core's error output, or None to
+    keep the point's own."""
+    real = embed._lead_sigma
 
-    def core(h00, h01, z, vectors, modes):
-        lead = real(h00, h01, z, vectors, modes)
-        extra = inject(h01, z)
-        return lead._replace(errors=[x or err for x, err in zip(extra, lead.errors)])
+    def core(h00, h01, z, modes):
+        g, sigma, errors = real(h00, h01, z, modes)
+        return g, sigma, [x or err for x, err in zip(inject(h01, z), errors)]
 
-    for module in (embed, spectra):
-        monkeypatch.setattr(module, "_lead_stack", core)
+    monkeypatch.setattr(embed, "_lead_sigma", core)
 
 
 def test_gate_failures_recorded_with_the_core_error(monkeypatch):
@@ -812,14 +812,36 @@ def test_h00_diagonalized_once_per_lead_and_k_not_per_point(monkeypatch):
     report = spectra.detect_peaks(strip, np.linspace(-1.0, 1.0, 40), [1e-7, 1e-6])
     assert not report.peaks and sum(calls) == 1
 
-    # a mixed model: the ladder lead once at each of the three k of the sweep
-    model = parse_model_dict({"lead_left": {"preset": "ladder", "params": {"t_perp": 0.6}},
-                              "lead_right": {"preset": "square_strip",
-                                             "params": {"width": 2, "periodic": True}},
-                              "device": _device(np.random.default_rng(2), 2, 1, 1)})
+    # a mixed model: the ladder lead ignores k, so once for all three k of the sweep
+    model = _ladder_facing_periodic_strip()
     calls = _count_h00_eigh(monkeypatch, [build_lead_blocks(model.lead_l).h00])
     sweep(model, np.linspace(-3.0, 3.0, 30), eta=1e-6, k_list=[0.1, 0.2, 0.3])
-    assert sum(calls) == 3
+    assert sum(calls) == 1
+
+
+def _ladder_facing_periodic_strip():
+    return parse_model_dict({"lead_left": {"preset": "ladder", "params": {"t_perp": 0.6}},
+                             "lead_right": {"preset": "square_strip",
+                                            "params": {"width": 2, "periodic": True}},
+                             "device": _device(np.random.default_rng(2), 2, 1, 1)})
+
+
+def test_k_independent_lead_goes_through_the_core_once_per_energy(monkeypatch):
+    # the ladder's blocks are the same at every k, so a 30 x 3 sweep sends
+    # its 30 energies through the lead core, not 90 points; the periodic
+    # strip (n = 1 per k) has 90 distinct points
+    model = _ladder_facing_periodic_strip()
+    grid = np.linspace(-3.0, 3.0, 30)
+    points, real = collections.Counter(), spectra._lead_stack
+
+    def core(h00, *args):
+        points[h00.shape[-1]] += len(h00)
+        return real(h00, *args)
+
+    monkeypatch.setattr(spectra, "_lead_stack", core)
+    res = sweep(model, grid, eta=1e-6, k_list=[0.1, 0.2, 0.3])
+    assert points == {2: 30, 1: 90}
+    assert repr(res.records) == repr(tuple(reference_records(model, grid, 1e-6, res.k_list)))
 
 
 def test_general_leads_never_take_the_mode_route(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from embedchan import (
     DecimationError,
+    HamiltonianBlocks,
     LatticeSpec,
     anti_hermitian_part,
     build_lead_blocks,
@@ -241,3 +242,22 @@ def test_anti_hermitian_part_gate_rejects_nan():
     sig = EmbeddingPotential(sigma=np.array([[np.nan, 0.0], [0.0, -1j]]), energy=0.0, eta=1e-8)
     with pytest.raises(DecimationError):
         anti_hermitian_part(sig)
+
+
+def test_only_the_nsd_guard_diagonalizes_imsigma(monkeypatch):
+    # surface_green and embedding_potential stop before ImSigma: no eigvalsh
+    # runs for them and one for anti_hermitian_part; g and Sigma keep the
+    # bits of the whole lead core
+    blocks = HamiltonianBlocks(h00=np.array([[0.1, 0.4], [0.4, -0.2]]),
+                               h01=np.array([[1.0, 0.3], [0.0, 0.7]]))
+    full = embed._lead_stack(blocks.h00[None], blocks.h01[None], np.array([0.3 + 1e-8j]),
+                             False, None)
+    calls, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a))
+    assert surface_green(blocks, 0.3, 1e-8).tobytes() == full.g[0].tobytes()
+    sig = embedding_potential(blocks, 0.3, 1e-8)
+    assert sig.sigma.tobytes() == full.sigma[0].tobytes()
+    assert sig.surface_g.tobytes() == full.g[0].tobytes()
+    assert calls == []
+    anti_hermitian_part(sig)
+    assert calls == [(1, 2, 2)]
