@@ -78,7 +78,7 @@ def _pencil_residual(beta: complex, phi: Array, h00: Array, h01: Array, e: float
     return float(np.linalg.norm(r))
 
 
-def bloch_states(blocks: HamiltonianBlocks, e: float, tau_prop: float = TAU_PROP) -> BlochSpectrum:
+def bloch_states(blocks: HamiltonianBlocks, e: float) -> BlochSpectrum:
     """Solve the lead's fixed-energy Bloch problem (real energy, eta = 0).
 
     The quadratic problem is linearized as the transfer pencil of the
@@ -114,7 +114,7 @@ def bloch_states(blocks: HamiltonianBlocks, e: float, tau_prop: float = TAU_PROP
             states.append(BlochState(beta, phi, False, None, "growing", res))
             continue
         res = _pencil_residual(beta, phi, h00, h01, e)
-        propagating = abs(abs(beta) - 1.0) < tau_prop
+        propagating = abs(abs(beta) - 1.0) < TAU_PROP
         if propagating:
             vel = float(-2.0 * np.imag(beta * (phi.conj() @ h01 @ phi)))
             if abs(vel) < 1e-12:

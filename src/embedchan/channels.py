@@ -23,6 +23,16 @@ def default_tau_open(eta: float) -> float:
     return max(1e-10, 100.0 * eta)
 
 
+def _tau_open(tau_open: float | None, eta: float) -> float:
+    """The open-channel threshold in use: ``tau_open``, or the default at eta."""
+    return float(default_tau_open(eta) if tau_open is None else tau_open)
+
+
+def _is_open(lam: Array, tau_open: float) -> Array:
+    """The open-channel rule: eigenvalue lambda < -tau_open, elementwise."""
+    return lam < -tau_open
+
+
 def fix_phase(vectors: Array) -> Array:
     """Rotate each column so its largest-magnitude component is real positive."""
     out = np.array(vectors, dtype=complex)
@@ -83,10 +93,9 @@ def channel_decomposition(im_sigma: ImSigma, tau_open: float | None = None) -> C
 def _basis(lam: Array, vecs: Array, energy: float, eta: float, side: str,
            k: float | None, tau_open: float | None) -> ChannelBasis:
     """Channel basis of one point from its slice of a stacked ``eigh``."""
-    if tau_open is None:
-        tau_open = default_tau_open(eta)
+    tau_open = _tau_open(tau_open, eta)
     vecs = fix_phase(vecs)
-    open_mask = lam < -tau_open
+    open_mask = _is_open(lam, tau_open)
     lam_open = lam[open_mask]
     u = vecs[:, open_mask] / np.sqrt(2.0 * np.abs(lam_open))[None, :] if lam_open.size else (
         np.zeros((lam.shape[0], 0), dtype=complex)
@@ -102,7 +111,7 @@ def _basis(lam: Array, vecs: Array, energy: float, eta: float, side: str,
         eta=eta,
         side=side,
         k=k,
-        tau_open=float(tau_open),
+        tau_open=tau_open,
     )
 
 

@@ -282,8 +282,10 @@ def _cmd_scatter(args) -> int:
 
 def _cmd_fit_edge(args) -> int:
     model = _load(args)
-    if args.wmin >= args.wmax:
-        raise ModelValidationError("--wmin must be smaller than --wmax")
+    if not 0.0 < args.wmin < args.wmax:
+        raise ModelValidationError("--wmin and --wmax must satisfy 0 < wmin < wmax")
+    if args.npts < 1:
+        raise ModelValidationError("--npts must be >= 1")
     offsets = np.logspace(math.log10(args.wmin), math.log10(args.wmax), args.npts)
     sign = 1.0 if args.side == "above" else -1.0
     grid = sorted(args.e0 + sign * d for d in offsets)

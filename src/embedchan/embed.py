@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DecimationError, ModelValidationError
-from .model import Array, HamiltonianBlocks
+from .model import Array, HamiltonianBlocks, _readonly
 
 TAU_PSD = 1e-10
 DEFAULT_ETA_POINT = 1e-8
@@ -434,7 +434,7 @@ def embedding_potential(
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     g, sigma = _lead_at(blocks, e, eta, _SIGMA_IDENTITY)
-    return EmbeddingPotential(_freeze(sigma), float(e), float(eta), side, blocks.k, _freeze(g))
+    return EmbeddingPotential(_readonly(sigma), float(e), float(eta), side, blocks.k, _readonly(g))
 
 
 def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
@@ -449,11 +449,5 @@ def anti_hermitian_part(sig: EmbeddingPotential) -> ImSigma:
     if not top <= top_tol:
         raise _nsd_error(top)
     return ImSigma(
-        matrix=_freeze(m), energy=sig.energy, eta=sig.eta, side=sig.side, k=sig.k
+        matrix=_readonly(m), energy=sig.energy, eta=sig.eta, side=sig.side, k=sig.k
     )
-
-
-def _freeze(a: Array) -> Array:
-    a = np.asarray(a, dtype=complex)
-    a.setflags(write=False)
-    return a

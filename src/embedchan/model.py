@@ -24,6 +24,7 @@ import json
 import math
 import re
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping
 
@@ -60,12 +61,15 @@ def fold_momentum(k: float) -> float:
 def _as_complex(value: Any, path: str) -> complex:
     if isinstance(value, bool):
         raise ModelValidationError(f"{path}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return complex(float(value), 0.0)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
-    ):
-        return complex(float(value[0]), float(value[1]))
+    try:
+        if isinstance(value, (int, float)):
+            return complex(float(value), 0.0)
+        if isinstance(value, (list, tuple)) and len(value) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+        ):
+            return complex(float(value[0]), float(value[1]))
+    except OverflowError:  # an integer beyond the float range
+        raise ModelValidationError(f"{path}: number out of floating-point range") from None
     raise ModelValidationError(
         f"{path}: complex entries must be a number or a [re, im] pair, got {value!r}"
     )
@@ -206,7 +210,7 @@ def _validate_preset_params(kind: str, params: dict[str, Any]) -> None:
             continue
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ModelValidationError(f"params.{name}: must be a real number")
-        if not math.isfinite(float(value)):
+        if not abs(value) <= sys.float_info.max:  # no OverflowError for a huge integer
             raise ModelValidationError(f"params.{name}: must be finite")
     positive = {"chain": ("t",), "dimer_chain": ("t1", "t2"), "ladder": ("t",), "square_strip": ("t",)}
     for name in positive[kind]:
@@ -447,12 +451,18 @@ def parse_model(text: str) -> Model:
         raise ModelValidationError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except (RecursionError, ValueError) as exc:  # nesting or integer literals too deep or long
+        raise ModelValidationError(f"parse error: {exc}") from None
     return parse_model_dict(data)
 
 
 def parse_model_file(path: str) -> Model:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelValidationError(f"model file is not UTF-8: {exc}") from None
+    return parse_model(text)
 
 
 # Every matrix of the canonical document sits at nesting depth 2: in

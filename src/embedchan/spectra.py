@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import math
 import struct
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import __version__
-from .channels import ChannelBasis, _basis, default_tau_open
+from .channels import ChannelBasis, _basis, _is_open, _tau_open
 from .embed import (
     _NSD_GUARD,
     DEFAULT_ETA_SWEEP,
@@ -18,27 +17,24 @@ from .embed import (
     EmbeddingPotential,
     ImSigma,
     _check_eta,
-    _freeze,
     _lead_stack,
     _transverse_modes,
 )
 from .bloch import TAU_PROP
-from .errors import EmbedchanError, ModelValidationError, SingularSolveError
+from .errors import EmbedchanError, ModelValidationError
 from .model import (
     Array,
     HamiltonianBlocks,
     Model,
+    _readonly,
     lead_blocks,
     model_hash,
 )
 from .transport import (
-    GREEN_IDENTITY_TOL,
     DeviceGreenFunction,
     TransmissionResult,
-    _contact_block,
-    _device_green,
-    _device_matrix,
-    _device_solve,
+    _device_stack,
+    _green_function,
     _transmission,
 )
 
@@ -160,8 +156,8 @@ def solve_point(
     channel basis.
     """
     _check_eta(eta)
-    _check_finite((e,) if k is None else (e, k), "energy and k")
-    e, eta = float(e), float(eta)
+    _check_finite((e,), "energy")
+    e, eta, k = float(e), float(eta), _one_k(model, k)
     leads = _leads(model, (k,))
     sides, (out,) = _solve_stack(model, np.array([e]), [0], leads, eta, tau_open)
     if isinstance(out, EmbedchanError):
@@ -171,9 +167,9 @@ def solve_point(
         ch_r = replace(ch_l, side="right")
     (*_, (k_l,)), (*_, (k_r,)) = leads[0], leads[-1]  # the k each lead's blocks take
     both = [(sides[0], k_l, "left"), (sides[-1], k_r, "right")]
-    sig = [EmbeddingPotential(_freeze(s.sigma[0]), e, eta, side, lead_k, _freeze(s.g[0]))
+    sig = [EmbeddingPotential(_readonly(s.sigma[0]), e, eta, side, lead_k, _readonly(s.g[0]))
            for s, lead_k, side in both]
-    im = [ImSigma(_freeze(s.im[0]), e, eta, side, lead_k) for s, lead_k, side in both]
+    im = [ImSigma(_readonly(s.im[0]), e, eta, side, lead_k) for s, lead_k, side in both]
     return PointSolution(*sig, *im, ch_l, ch_r, result, gdev)
 
 
@@ -190,6 +186,11 @@ def _normalize_k_list(model: Model, k_list) -> tuple[float | None, ...]:
     if ks:
         raise ModelValidationError("k values supplied for a non-periodic model")
     return (None,)
+
+
+def _one_k(model: Model, k: float | None) -> float | None:
+    """The k of a single-momentum entry point, checked as sweeps check theirs."""
+    return _normalize_k_list(model, () if k is None else (k,))[0]
 
 
 def sweep(
@@ -220,7 +221,7 @@ def sweep(
     metadata = {
         "model_hash": model_hash(model),
         "eta": float(eta),
-        "tau_open": float(tau_open if tau_open is not None else default_tau_open(eta)),
+        "tau_open": _tau_open(tau_open, eta),
         "tau_psd": TAU_PSD,
         "tau_prop": TAU_PROP,
         "version": __version__,
@@ -334,18 +335,17 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
     (:func:`embed._lead_stack`), whose one ``eigh`` is both the NSD guard and
     the channel basis.  A lead with one block in a sweep over several k goes
     through it once per distinct energy, and is read at every k of that
-    energy.  The device solve with its identity gate and g_rl runs
-    stacked too, in stacks of at most ``_STACK_ENTRIES`` complex entries,
-    releasing each full device Green function once g_rl is taken; only the
+    energy.  The device goes through the device core
+    (:func:`transport._device_stack`) in stacks of at most ``_STACK_ENTRIES``
+    complex entries, and g_rl is taken once per stack; only the
     transmission, whose open-channel counts differ between points, runs
-    point by point.  A point whose stacked device solve fails is solved
-    alone, for its error text.
+    point by point.
 
     A sweep passes ``keep(p, ch_l, ch_r, result)``, which turns each solved
     point into what the sweep keeps, so that no point's channel objects
-    outlive it.  Without ``keep`` (the one point of :func:`solve_point`) the
-    surface g is kept, the device is solved alone for its full Green
-    function, and a solved point is (ch_l, ch_r, result, gdev).
+    outlive it, and frees each lead's surface g before the device layer.
+    Without ``keep`` (the one point of :func:`solve_point`) the surface g is
+    kept and a solved point is (ch_l, ch_r, result, gdev).
 
     Returns the lead core of each distinct lead and, per point, the error
     :func:`solve_point` raises or the solved point.
@@ -371,36 +371,27 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
     left, right = sides[0], sides[-1]
     out = [_first_error(a, b) for a, b in zip(left.errors, right.errors)]
     idx = np.flatnonzero([err is None for err in out])
-    tau = default_tau_open(eta) if tau_open is None else tau_open
-    n_open = [(s.w[idx] < -tau).sum(axis=1) for s in sides]
+    tau = _tau_open(tau_open, eta)
+    n_open = [_is_open(s.w[idx], tau).sum(axis=1) for s in sides]
     eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])]
 
     dev = model.device
     step = max(1, _STACK_ENTRIES // dev.n_device ** 2)
     for start in range(0, len(idx), step):
-        sel, res = idx[start:start + step], ()
-        if keep is not None:
-            with suppress(np.linalg.LinAlgError):  # one singular slice fails the whole stack
-                z_dev = _complex(energies[sel], eta_dev[start:start + step])
-                g, res = _device_solve(_device_matrix(dev, left.sigma[sel], right.sigma[sel],
-                                                      z_dev))
-                g_rl = _contact_block(dev.coupling_right, g, dev.coupling_left)
-                del g  # keep g_rl only: one N x N stack alive at a time
-        for j, p in enumerate(sel):
-            e, i = float(energies[p]), start + j
-            if j < len(res) and res[j] <= GREEN_IDENTITY_TOL:
-                grl = g_rl[j]
-            else:
-                try:
-                    gdev = _device_green(dev, left.sigma[p], right.sigma[p], e, eta_dev[i])
-                except SingularSolveError as exc:
-                    out[p] = exc
-                    continue
-                grl = gdev.g_rl
+        sel, etas = idx[start:start + step], eta_dev[start:start + step]
+        g, g_rl, errors = _device_stack(dev, left.sigma[sel], right.sigma[sel],
+                                        _complex(energies[sel], etas))
+        for j, (p, eta_p, error) in enumerate(zip(sel, etas, errors)):
+            if error is not None:
+                out[p] = error
+                continue
+            e = float(energies[p])
             ch = [_basis(s.w[p], s.v[p], e, eta, side, lead[3][kidx[p]], tau)
                   for s, lead, side in zip(sides, leads, ("left", "right"))]
-            r = _transmission(grl, left.im[p], right.im[p], ch[0], ch[-1], e, eta_dev[i])
-            out[p] = (ch[0], ch[-1], r, gdev) if keep is None else keep(p, ch[0], ch[-1], r)
+            r = _transmission(g_rl[j], left.im[p], right.im[p], ch[0], ch[-1], e, eta_p)
+            out[p] = keep(p, ch[0], ch[-1], r) if keep is not None else (
+                ch[0], ch[-1], r, _green_function(dev, g[j], g_rl[j], e, eta_p))
+        del g  # one N x N device stack alive at a time
     return sides, out
 
 
@@ -694,10 +685,7 @@ def detect_peaks(model: Model, e_grid, eta_list, k: float | None = None) -> Peak
     if len(grid) < 5:
         raise ModelValidationError("energy grid too small for peak detection")
     _check_finite(grid, "energy grid")
-    if model.requires_momentum and k is None:
-        raise ModelValidationError("model is transverse-periodic: a k value is required")
-    if k is not None:
-        _check_finite((k,), "k")
+    k = _one_k(model, k)
 
     eta0 = etas[0]
     values = _LeadValues(model, k)

@@ -59,35 +59,66 @@ def embed_self_energy(coupling: Array, sigma: Array) -> Array:
     return coupling.conj().T @ sigma @ coupling
 
 
-def _cond(a: Array) -> float:
-    # the SVD behind np.linalg.cond raises on NaN or infinite entries
-    return float(np.linalg.cond(a)) if np.isfinite(a).all() else math.nan
-
-
-def _device_matrix(device: DeviceSpec, sigma_l: Array, sigma_r: Array, z: Array) -> Array:
-    """The stack A_b = z_b - H_C - C_l^dag Sigma_l C_l - C_r^dag Sigma_r C_r for
-    self-energies of shape (B, n, n) and complex energies of shape (B,)."""
-    a = z[:, None, None] * np.eye(device.n_device)
-    a -= device.h_c  # in place: one N x N array per point at a time
-    a -= embed_self_energy(device.coupling_left, sigma_l)
-    a -= embed_self_energy(device.coupling_right, sigma_r)
-    return a
-
-
-def _device_solve(a: Array) -> tuple[Array, Array]:
-    """g = A^-1 for a stack of device matrices, and the Green identity
-    residuals max|A g - 1|.  A singular slice raises ``LinAlgError`` for the
-    whole stack."""
-    g = np.linalg.inv(a)  # the LAPACK solve against the identity, without a copy of it
+def _device_solve(a: Array) -> tuple[Array, Array, Array]:
+    """g = A^-1 for a stack of device matrices, the Green identity residuals
+    max|A g - 1|, and whether each point is singular.  One singular slice
+    fails a stacked LAPACK call, so then each point is solved alone; a point
+    singular alone gets a NaN g and residual."""
+    try:
+        g = np.linalg.inv(a)  # the LAPACK solve against the identity, without a copy of it
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.full_like(a, np.nan), np.full(1, np.nan), np.ones(1, bool)
+        return tuple(map(np.concatenate, zip(*(_device_solve(a[i:i + 1]) for i in range(len(a))))))
     r = a @ g
     r -= np.eye(a.shape[-1])
-    return g, np.abs(r).max(axis=(1, 2))
+    return g, np.abs(r).max(axis=(1, 2)), np.zeros(len(a), bool)
 
 
 def _contact_block(c_out: Array, g: Array, c_in: Array) -> Array:
     """Restriction C_out g C_in^dag of a device Green function (or a stack)
     to two lead-surface spaces."""
     return c_out @ g @ c_in.conj().T
+
+
+def _device_stack(device: DeviceSpec, sigma_l: Array, sigma_r: Array,
+                  z: Array) -> tuple[Array, Array, list[SingularSolveError | None]]:
+    """The one device core at a stack of points (self-energies of shape
+    (B, n, n), complex energies of shape (B,)): g = A^-1 for the device
+    matrices A = z - H_C - C_l^dag Sigma_l C_l - C_r^dag Sigma_r C_r, its
+    g_rl, and each point's error from the Green identity gate, or None.
+    Every point gives the same bits alone as in a stack, so
+    :func:`device_green` is this core on a stack of one."""
+    a = z[:, None, None] * np.eye(device.n_device)
+    a -= device.h_c  # in place: one N x N array per point at a time
+    a -= embed_self_energy(device.coupling_left, sigma_l)
+    a -= embed_self_energy(device.coupling_right, sigma_r)
+    del sigma_l, sigma_r  # a sweep passes copies: free them before the solve
+    g, res, singular = _device_solve(a)
+    errors: list[SingularSolveError | None] = [None] * len(z)
+    for i in (~(res <= GREEN_IDENTITY_TOL)).nonzero()[0]:
+        # the SVD behind np.linalg.cond raises on NaN or infinite entries
+        cond = float(np.linalg.cond(a[i])) if np.isfinite(a[i]).all() else math.nan
+        e, eta = z[i].real, z[i].imag
+        errors[i] = SingularSolveError(
+            f"singular device solve at E={e:g}, eta={eta:g} "
+            f"(cond ~ {cond:.3e}); typically a bound state in a gap" if singular[i] else
+            f"device Green identity residual {res[i]:.3e} at E={e:g} "
+            f"(cond ~ {cond:.3e})",
+            cond=cond,
+        )
+    return g, _contact_block(device.coupling_right, g, device.coupling_left), errors
+
+
+def _green_function(device: DeviceSpec, g: Array, g_rl: Array, e: float,
+                    eta: float) -> DeviceGreenFunction:
+    """The read-only :class:`DeviceGreenFunction` of one point's slice of
+    :func:`_device_stack`, with its g_rl."""
+    cl, cr = device.coupling_left, device.coupling_right
+    g_lr = _contact_block(cl, g, cr)
+    for m in (g, g_lr, g_rl):
+        m.setflags(write=False)
+    return DeviceGreenFunction(g, g_lr, g_rl, float(e), float(eta), cl, cr)
 
 
 def device_green(
@@ -105,39 +136,11 @@ def device_green(
     """
     if not eta >= 0.0:
         raise ValueError("eta must be >= 0")
-    return _device_green(device, sig_l.sigma, sig_r.sigma, e, eta)
-
-
-def _device_green(device: DeviceSpec, sigma_l: Array, sigma_r: Array, e: float,
-                  eta: float) -> DeviceGreenFunction:
-    """:func:`device_green` from the two self-energies: the device solve of
-    one point, its identity gate and its error text."""
-    cl, cr = device.coupling_left, device.coupling_right
-    a = _device_matrix(device, sigma_l[None], sigma_r[None], np.array([complex(e, eta)]))
-    try:
-        (g,), (res,) = _device_solve(a)
-    except np.linalg.LinAlgError:
-        cond = _cond(a[0])
-        raise SingularSolveError(
-            f"singular device solve at E={e:g}, eta={eta:g} "
-            f"(cond ~ {cond:.3e}); typically a bound state in a gap",
-            cond=cond,
-        ) from None
-    if not res <= GREEN_IDENTITY_TOL:
-        cond = _cond(a[0])
-        raise SingularSolveError(
-            f"device Green identity residual {res:.3e} at E={e:g} "
-            f"(cond ~ {cond:.3e})",
-            cond=cond,
-        )
-    g_lr = _contact_block(cl, g, cr)
-    g_rl = _contact_block(cr, g, cl)
-    for m in (g, g_lr, g_rl):
-        m.setflags(write=False)
-    return DeviceGreenFunction(
-        g=g, g_lr=g_lr, g_rl=g_rl, energy=float(e), eta=float(eta),
-        coupling_left=cl, coupling_right=cr,
-    )
+    (g,), (g_rl,), (error,) = _device_stack(device, sig_l.sigma[None], sig_r.sigma[None],
+                                            np.array([complex(e, eta)]))
+    if error is not None:
+        raise error
+    return _green_function(device, g, g_rl, e, eta)
 
 
 def scattered_wave(

@@ -34,7 +34,9 @@ from embedchan import (
     spectra,
     sweep,
     transmission,
+    transport,
 )
+from embedchan.embed import EmbeddingPotential
 from embedchan.model import lead_blocks
 
 from helpers import chain_lead, dimer_model, ladder_impurity_model, strip_model
@@ -299,6 +301,86 @@ def test_stacked_linalg_error_doubles_each_point_alone(monkeypatch):
     monkeypatch.setattr(embed, "_mode_matching", lambda *a: pytest.fail("fallback ran"))
     assert repr(sweep(model, grid, eta=1e-6).records) == repr(tuple(ref))
     assert sizes == [14] + [2] * 7
+
+
+# ---------------------------------------------------------------------------
+# the device core: every point as device_green gives it alone
+
+
+def _count_device_solves(monkeypatch) -> list:
+    """Record the stack size of every ``transport._device_solve`` call."""
+    real, sizes = transport._device_solve, []
+    monkeypatch.setattr(transport, "_device_solve", lambda a: sizes.append(len(a)) or real(a))
+    return sizes
+
+
+def _device_core_at(model, grid, sig_r=None):
+    """Both leads' Sigma at each energy (the right ones replaced by ``sig_r``
+    when given) and the device core on their stack at E + 0i."""
+    sig_l, sig_r_own = ([embedding_potential(lead_blocks(spec, None), e, 1e-8) for e in grid]
+                        for spec in (model.lead_l, model.lead_r))
+    sig_r = sig_r or sig_r_own
+    out = transport._device_stack(model.device, np.array([s.sigma for s in sig_l]),
+                                  np.array([s.sigma for s in sig_r]),
+                                  np.array(grid, dtype=complex))
+    return sig_l, sig_r, out
+
+
+def _assert_as_alone(model, grid, sig_l, sig_r, out):
+    """Each point of a device core stack has the bits, or the error text and
+    cond, of ``device_green`` at that point alone."""
+    for i, (e, g, g_rl, error) in enumerate(zip(grid, *out)):
+        try:
+            alone = device_green(model.device, sig_l[i], sig_r[i], e, 0.0)
+        except SingularSolveError as exc:
+            assert (str(error), repr(error.cond)) == (str(exc), repr(exc.cond))
+            continue
+        assert error is None
+        assert (g.tobytes(), g_rl.tobytes()) == (alone.g.tobytes(), alone.g_rl.tobytes())
+
+
+def test_device_core_reruns_a_singular_stack_point_by_point(monkeypatch):
+    # LAPACK raises for the whole stack at the singular point e_s: each point
+    # is then solved alone, and only e_s fails, with device_green's text
+    model, e_s = _two_chains_singular()
+    grid = [e_s - 0.2, e_s, e_s + 0.2, e_s + 0.4]
+    sizes = _count_device_solves(monkeypatch)
+    sig_l, sig_r, out = _device_core_at(model, grid)
+    assert sizes == [4, 1, 1, 1, 1]
+    assert [err is None for err in out[2]] == [True, False, True, True]
+    assert str(out[2][1]).startswith("singular device solve at E=0.3, eta=0 (cond ~ ")
+    _assert_as_alone(model, grid, sig_l, sig_r, out)
+
+
+def test_device_core_gate_failure_is_solved_once(monkeypatch):
+    # a NaN self-energy passes LAPACK and fails the identity gate: the point
+    # gets device_green's text without a second solve
+    model, _ = _two_chains_singular()
+    grid = [-0.5, 0.0, 0.5]
+    bad = [None, EmbeddingPotential(np.array([[np.nan]], complex), 0.0, 1e-8), None]
+    sig_r = [b or embedding_potential(lead_blocks(model.lead_r, None), e, 1e-8)
+             for b, e in zip(bad, grid)]
+    sizes = _count_device_solves(monkeypatch)
+    sig_l, sig_r, out = _device_core_at(model, grid, sig_r)
+    assert sizes == [3]
+    assert [err is None for err in out[2]] == [True, False, True]
+    assert str(out[2][1]).startswith("device Green identity residual nan at E=0 (cond ~ nan)")
+    _assert_as_alone(model, grid, sig_l, sig_r, out)
+
+
+def test_one_device_solve_per_point_and_per_sweep_stack(monkeypatch):
+    # solve_point is a stack of one; a sweep with a singular point solves
+    # its one stack, then each point alone, and no point a further time
+    model, e_s = _two_chains_singular()
+    sizes = _count_device_solves(monkeypatch)
+    solve_point(model, e_s + 0.1, 1e-8)
+    assert sizes == [1]
+    sizes.clear()
+    sweep(model, [e_s - 0.1, e_s, e_s + 0.1], eta=1e-8)
+    assert sizes == [3, 1, 1, 1]
+    sizes.clear()
+    sweep(model, [e_s - 0.1, e_s + 0.1, e_s + 0.2], eta=1e-8)
+    assert sizes == [3]
 
 
 def test_one_diagonalization_per_sweep_stack(monkeypatch):

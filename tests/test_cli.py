@@ -341,15 +341,60 @@ def test_model_hashed_once_per_command(chain_file, tmp_path, monkeypatch, comman
 
 
 def test_scatter_solves_the_device_once(chain_file, tmp_path, monkeypatch):
-    import embedchan.spectra as spectra
     import embedchan.transport as transport
 
     real, calls = transport._device_solve, []
-    for module in (spectra, transport):
-        monkeypatch.setattr(module, "_device_solve", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(transport, "_device_solve", lambda *a: calls.append(1) or real(*a))
     assert run(["scatter", "--model", chain_file, "--e=0.3",
                 "--out", str(tmp_path / "s.json")]) == 0
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# inputs that used to end in a traceback are one-line validation errors
+
+
+_BIG_INT = "1" + "0" * 400
+
+
+def _model_text(replace_from="", replace_to=""):
+    text = json.dumps({"lead_left": {"preset": "chain"}, "lead_right": {"preset": "chain"},
+                       "device": {"h": [[0.5]], "coupling_left": [[1.0]],
+                                  "coupling_right": [[1.0]]}})
+    assert replace_from in text
+    return text.replace(replace_from, replace_to, 1)
+
+
+@pytest.mark.parametrize("content, argv, message", [
+    (_model_text(), ["fit-edge", "--e0=2.0", "--wmin=-1", "--wmax=1"],
+     "--wmin and --wmax must satisfy 0 < wmin < wmax"),
+    (_model_text(), ["fit-edge", "--e0=2.0", "--wmin=0"],
+     "--wmin and --wmax must satisfy 0 < wmin < wmax"),
+    (_model_text(), ["fit-edge", "--e0=2.0", "--npts=-1"], "--npts must be >= 1"),
+    (_model_text('"chain"', '"ch\u00e9in"').encode("latin-1"), ["transmit", "--npts=3"],
+     "model file is not UTF-8"),
+    ('{"lead_left": ' + "[" * 200_000 + "]" * 200_000 + "}", ["transmit", "--npts=3"],
+     "parse error: maximum recursion depth exceeded"),
+    (_model_text("[[0.5]]", f"[[{_BIG_INT}]]"), ["transmit", "--npts=3"],
+     "device.h[0][0]: number out of floating-point range"),
+    (_model_text("[[0.5]]", f"[[[0.5, -{_BIG_INT}]]]"), ["transmit", "--npts=3"],
+     "device.h[0][0]: number out of floating-point range"),
+    (_model_text('{"preset": "chain"}', f'{{"preset": "chain", "params": {{"t": {_BIG_INT}}}}}'),
+     ["transmit", "--npts=3"], "lead_left.params.t: must be finite"),
+])
+def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, message):
+    path = tmp_path / "model.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    out = tmp_path / "x"
+    assert run([*argv[:1], "--model", str(path), "--out", str(out), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

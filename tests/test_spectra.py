@@ -82,6 +82,28 @@ def test_periodic_model_requires_k_list():
         sweep(model, [0.0, 0.5], eta=1e-6)
 
 
+_ONE_K_ENTRY_POINTS = {
+    "sweep": lambda m, k: sweep(m, _G, eta=1e-6, k_list=None if k is None else [k]),
+    "solve_point": lambda m, k: solve_point(m, 0.3, 1e-8, k),
+    "detect_peaks": lambda m, k: detect_peaks(m, _G, [1e-3, 1e-5], k=k),
+}
+
+
+@pytest.mark.parametrize("periodic, k, message", [
+    (True, None, "model has a transverse-periodic lead: at least one k value is required"),
+    (False, 0.7, "k values supplied for a non-periodic model"),
+    (True, math.nan, "k values must be finite, got nan"),
+])
+@pytest.mark.parametrize("entry", sorted(_ONE_K_ENTRY_POINTS))
+def test_one_momentum_check_for_every_entry_point(entry, periodic, k, message):
+    # a k is required exactly when a lead is transverse-periodic, and every
+    # entry point says so in the same words
+    model = periodic_strip_model(width=2) if periodic else impurity_chain_model()
+    with pytest.raises(ModelValidationError) as info:
+        _ONE_K_ENTRY_POINTS[entry](model, k)
+    assert str(info.value) == message
+
+
 def test_k_sum_matches_explicit_ring():
     # width-2 periodic strip: transverse momenta {0, pi}; the equivalent
     # explicit representation is a two-site ring (doubled wrap bond) lead
