@@ -34,15 +34,18 @@ def _is_open(lam: Array, tau_open: float) -> Array:
 
 
 def fix_phase(vectors: Array) -> Array:
-    """Rotate each column so its largest-magnitude component is real positive."""
+    """Rotate each column (of a matrix, or of every matrix of a stack) so its
+    largest-magnitude component is real positive; a zero column stays as it is.
+    The copy keeps the memory layout of ``vectors``."""
     out = np.array(vectors, dtype=complex)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        i = int(np.argmax(np.abs(col)))
-        a = col[i]
-        if abs(a) > 0.0:
-            out[:, j] = col * (a.conjugate() / abs(a))
-            out[i, j] = abs(out[i, j])  # kill rounding in the pinned component
+    top = np.argmax(np.abs(out), axis=-2)[..., None, :]
+    a = np.take_along_axis(out, top, axis=-2)
+    mag = np.hypot(a.real, a.imag)  # abs() of a complex scalar to the bit, which np.abs is not
+    turn = mag > 0.0
+    np.copyto(out, out * (a.conj() / np.where(turn, mag, 1.0)), where=turn)
+    a = np.take_along_axis(out, top, axis=-2)
+    # kill rounding in the pinned component
+    np.put_along_axis(out, top, np.where(turn, np.hypot(a.real, a.imag), a), axis=-2)
     return out
 
 
@@ -86,33 +89,31 @@ def channel_decomposition(im_sigma: ImSigma, tau_open: float | None = None) -> C
     Zero open channels is a valid outcome.
     """
     (lam,), (vecs,) = np.linalg.eigh(im_sigma.matrix[None])
-    return _basis(lam, vecs, im_sigma.energy, im_sigma.eta, im_sigma.side, im_sigma.k,
-                  tau_open)
+    tau_open = _tau_open(tau_open, im_sigma.eta)
+    return _basis(lam, fix_phase(vecs), int(_is_open(lam, tau_open).sum()), im_sigma.energy,
+                  im_sigma.eta, im_sigma.side, im_sigma.k, tau_open)
 
 
-def _basis(lam: Array, vecs: Array, energy: float, eta: float, side: str,
-           k: float | None, tau_open: float | None) -> ChannelBasis:
-    """Channel basis of one point from its slice of a stacked ``eigh``."""
-    tau_open = _tau_open(tau_open, eta)
-    vecs = fix_phase(vecs)
-    open_mask = _is_open(lam, tau_open)
-    lam_open = lam[open_mask]
-    u = vecs[:, open_mask] / np.sqrt(2.0 * np.abs(lam_open))[None, :] if lam_open.size else (
-        np.zeros((lam.shape[0], 0), dtype=complex)
-    )
+def _unit_flux(lam: Array, vecs: Array, n_open: int) -> Array:
+    """The unit-flux open channels of a stack of points (eigenvalues of shape
+    (B, n), eigenvectors of shape (B, n, n)) with ``n_open`` open channels
+    each: ``eigh`` sorts lambda ascending, so they are the first ``n_open``
+    eigenvectors, each rescaled by 1/sqrt(2|lambda|).  Boolean indexing lays
+    each matrix out column by column, which fixes the BLAS calls of the
+    t-matrix and so its bits."""
+    first = np.arange(lam.shape[1]) < n_open
+    return vecs[:, :, first] / np.sqrt(2.0 * np.abs(lam[:, first]))[:, None, :]
+
+
+def _basis(lam: Array, vecs: Array, n_open: int, energy: float, eta: float, side: str,
+           k: float | None, tau_open: float) -> ChannelBasis:
+    """The read-only channel basis of one point from its eigenvalues, its
+    phase-fixed eigenvectors and its open-channel count."""
+    open_mask = np.arange(len(lam)) < n_open
+    u = _unit_flux(lam[None], vecs[None], n_open)[0]
     for a in (lam, vecs, open_mask, u):
         a.setflags(write=False)
-    return ChannelBasis(
-        lambdas=lam,
-        vectors_unit_norm=vecs,
-        open_mask=open_mask,
-        vectors_unit_flux=u,
-        energy=energy,
-        eta=eta,
-        side=side,
-        k=k,
-        tau_open=tau_open,
-    )
+    return ChannelBasis(lam, vecs, open_mask, u, energy, eta, side, k, tau_open)
 
 
 def flux(psi: Array, im_sigma: ImSigma) -> float:

@@ -118,7 +118,15 @@ def _grid(args) -> list[float]:
         raise ModelValidationError("--npts must be >= 1")
     if args.npts > 1 and not args.emax > args.emin:
         raise ModelValidationError("--emax must exceed --emin")
-    return list(np.linspace(args.emin, args.emax, args.npts))
+    return _energies(args, args.npts)
+
+
+def _energies(args, npts: int) -> list[float]:
+    """``npts`` energies from --emin to --emax.  A span beyond the float
+    range would make ``linspace`` overflow into inf and NaN."""
+    if not math.isfinite(args.emax - args.emin):
+        raise ModelValidationError("--emax - --emin must be finite")
+    return list(np.linspace(args.emin, args.emax, npts))
 
 
 def _load(args) -> Model:
@@ -324,7 +332,7 @@ def _cmd_peaks(args) -> int:
 
 def _cmd_validate(args) -> int:
     model = _load(args)
-    energies = list(np.linspace(args.emin, args.emax, 5))
+    energies = _energies(args, 5)
     ks = _normalize_k_list(model, args.k or ([0.0] if model.requires_momentum else None))
     leads = [(lead_blocks(model.lead_l, k), lead_blocks(model.lead_r, k)) for k in ks]
     checks: list[tuple[str, bool, str]] = []

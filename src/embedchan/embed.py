@@ -341,10 +341,13 @@ def _pencil_eig(a: Array, b: Array) -> tuple[Array, Array]:
     of ``_PENCIL_SHIFTS`` at which A - sB is invertible and every eigenpair
     meets ``_PENCIL_BACKWARD_TOL`` on (A, B) itself.  When none does (a
     singular pencil, such as h01 = 0 at an eigenvalue of h00), every
-    eigenpair is NaN, as QZ gives 0/0 there.
+    eigenpair is NaN, as QZ gives 0/0 there.  So is every eigenpair of a
+    pencil whose norm overflows (|z| beyond about 1e154), where the test
+    would divide by inf and pass any pair.
     """
-    norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
-    for s in _PENCIL_SHIFTS:
+    with np.errstate(over="ignore"):
+        norm_a, norm_b = np.linalg.norm(a), np.linalg.norm(b)
+    for s in _PENCIL_SHIFTS if np.isfinite(norm_a) and np.isfinite(norm_b) else ():
         try:
             mu, v = np.linalg.eig(np.linalg.solve(a - s * b, b))
         except np.linalg.LinAlgError:

@@ -144,8 +144,9 @@ class LatticeSpec:
         if self.kind == "explicit":
             if self.h00 is None or self.h01 is None:
                 raise ModelValidationError("explicit lattice requires h00 and h01")
-            h00 = np.asarray(self.h00, dtype=complex)
-            h01 = np.asarray(self.h01, dtype=complex)
+            # copies: a caller's complex array must not become the spec's own
+            h00 = np.array(self.h00, dtype=complex)
+            h01 = np.array(self.h01, dtype=complex)
             if h00.ndim != 2 or h00.shape[0] != h00.shape[1]:
                 raise DimensionError(f"h00 must be square, got shape {h00.shape}")
             if h01.shape != h00.shape:
@@ -233,8 +234,9 @@ class HamiltonianBlocks:
     k: float | None = None
 
     def __post_init__(self) -> None:
-        h00 = np.asarray(self.h00, dtype=complex)
-        h01 = np.asarray(self.h01, dtype=complex)
+        # copies: a caller's complex array must not become the blocks' own
+        h00 = np.array(self.h00, dtype=complex)
+        h01 = np.array(self.h01, dtype=complex)
         if h00.ndim != 2 or h00.shape[0] != h00.shape[1]:
             raise DimensionError(f"h00 must be square, got shape {h00.shape}")
         if h01.shape != h00.shape:
@@ -263,9 +265,10 @@ class DeviceSpec:
     s_r: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        h = np.asarray(self.h_c, dtype=complex)
-        cl = np.asarray(self.coupling_left, dtype=complex)
-        cr = np.asarray(self.coupling_right, dtype=complex)
+        # copies: a caller's complex array must not become the device's own
+        h = np.array(self.h_c, dtype=complex)
+        cl = np.array(self.coupling_left, dtype=complex)
+        cr = np.array(self.coupling_right, dtype=complex)
         if h.ndim != 2 or h.shape[0] != h.shape[1]:
             raise DimensionError(f"device h must be square, got shape {h.shape}")
         _check_finite(h, "device h")

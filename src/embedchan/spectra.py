@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .channels import ChannelBasis, _basis, _is_open, _tau_open
+from .channels import ChannelBasis, _basis, _is_open, _tau_open, fix_phase
 from .embed import (
     _NSD_GUARD,
     DEFAULT_ETA_SWEEP,
@@ -33,9 +34,11 @@ from .model import (
 from .transport import (
     DeviceGreenFunction,
     TransmissionResult,
+    _Transmission,
     _device_stack,
     _green_function,
-    _transmission,
+    _result,
+    _transmission_stack,
 )
 
 # Sweeps push their points through every layer in stacks of at most this many
@@ -130,12 +133,6 @@ def _check_finite(values, what: str) -> None:
         raise ModelValidationError(f"{what} must be finite, got {bad[0]!r}")
 
 
-def device_eta(n_open_l: int, n_open_r: int, eta: float) -> float:
-    """eta of the device resolvent: 0 while both leads have open channels
-    (their self-energies already supply the imaginary part), else the lead eta."""
-    return 0.0 if (n_open_l > 0 and n_open_r > 0) else eta
-
-
 def solve_point(
     model: Model,
     e: float,
@@ -159,18 +156,20 @@ def solve_point(
     _check_finite((e,), "energy")
     e, eta, k = float(e), float(eta), _one_k(model, k)
     leads = _leads(model, (k,))
-    sides, (out,) = _solve_stack(model, np.array([e]), [0], leads, eta, tau_open)
-    if isinstance(out, EmbedchanError):
-        raise out
-    ch_l, ch_r, result, gdev = out
-    if len(sides) == 1:
-        ch_r = replace(ch_l, side="right")
+    s = _solve_stack(model, np.array([e]), [0], leads, eta, tau_open)
+    if s.errors[0] is not None:
+        raise s.errors[0]
     (*_, (k_l,)), (*_, (k_r,)) = leads[0], leads[-1]  # the k each lead's blocks take
-    both = [(sides[0], k_l, "left"), (sides[-1], k_r, "right")]
-    sig = [EmbeddingPotential(_readonly(s.sigma[0]), e, eta, side, lead_k, _readonly(s.g[0]))
-           for s, lead_k, side in both]
-    im = [ImSigma(_readonly(s.im[0]), e, eta, side, lead_k) for s, lead_k, side in both]
-    return PointSolution(*sig, *im, ch_l, ch_r, result, gdev)
+    both = [(s.sides[0], s.channels[0], k_l, "left"), (s.sides[-1], s.channels[-1], k_r, "right")]
+    sig = [EmbeddingPotential(_readonly(lead.sigma[0]), e, eta, side, lead_k, _readonly(lead.g[0]))
+           for lead, _, lead_k, side in both]
+    im = [ImSigma(_readonly(lead.im[0]), e, eta, side, lead_k) for lead, _, lead_k, side in both]
+    ch = [_basis(w[0], v[0], int(n[0]), e, eta, side, lead_k, _tau_open(tau_open, eta))
+          for _, (w, v, n), lead_k, side in both]
+    eta_dev = float(s.eta_dev[0])
+    result = _result(s.tr, 0, ch[0].n_open, ch[1].n_open, e, eta_dev)
+    return PointSolution(*sig, *im, *ch, result,
+                         _green_function(model.device, s.g[0], s.g_rl[0], e, eta_dev))
 
 
 def _normalize_k_list(model: Model, k_list) -> tuple[float | None, ...]:
@@ -241,22 +240,6 @@ def sweep(
     )
 
 
-def _record(e: float, k: float | None, ch_l: ChannelBasis, ch_r: ChannelBasis,
-            r: TransmissionResult) -> PointRecord:
-    return PointRecord(
-        e=e,
-        k=k,
-        status="ok",
-        lambdas_l=tuple(ch_l.lambdas.tolist()),
-        lambdas_r=tuple(ch_r.lambdas.tolist()),
-        n_open_l=ch_l.n_open,
-        n_open_r=ch_r.n_open,
-        t_trace=r.total_trace,
-        t_channel_sum=r.total_channel_sum,
-        discrepancy=r.discrepancy,
-    )
-
-
 def _leads(model: Model, ks) -> list[tuple[Array, Array, tuple | None, list]]:
     """The distinct leads of a model at the momenta ``ks``: h00 and h01
     stacked over ks, their transverse modes (see
@@ -290,11 +273,15 @@ def _sweep_records(model: Model, grid: tuple[float, ...], ks: tuple[float | None
     kidx = np.tile(np.arange(len(ks)), len(grid))
     records: list[PointRecord] = []
     for start in range(0, len(points), step):
-        chunk = points[start:start + step]
-        _, out = _solve_stack(model, energies[start:start + step], kidx[start:start + step],
-                              leads, eta, tau_open, lambda p, *solved: _record(*chunk[p], *solved))
-        records += [o if isinstance(o, PointRecord) else PointRecord(*pt, status=f"error: {o}")
-                    for pt, o in zip(chunk, out)]
+        s = _solve_stack(model, energies[start:start + step], kidx[start:start + step],
+                         leads, eta, tau_open)
+        (w_l, _, n_l), (w_r, _, n_r), tr = s.channels[0], s.channels[-1], s.tr
+        solved = zip(map(tuple, w_l.tolist()), map(tuple, w_r.tolist()), n_l.tolist(),
+                     n_r.tolist(), tr.trace.tolist(), tr.channel_sum.tolist(),
+                     tr.discrepancy.tolist())
+        records += [PointRecord(*pt, "ok", *next(solved)) if err is None else
+                    PointRecord(*pt, status=f"error: {err}")
+                    for pt, err in zip(points[start:start + step], s.errors)]
     return records
 
 
@@ -326,8 +313,22 @@ def _first_error(err_l, err_r) -> EmbedchanError | None:
     return None if err_l is None else err_l[1]
 
 
+class _Solved(NamedTuple):
+    """The pipeline at a stack of points (see :func:`_solve_stack`): per point
+    the error, and for the solved points (error None), in order, their
+    channels, device eta, g_rl and transmission."""
+
+    sides: list  # the lead core of each distinct lead
+    errors: list[EmbedchanError | None]  # per point, the error solve_point raises, or None
+    channels: list[tuple]  # per distinct lead: lambdas, phase-fixed eigenvectors, open counts
+    eta_dev: Array  # the eta of the device resolvent
+    g: Array | None  # the device g of the last device stack (solve_point's one point)
+    g_rl: Array
+    tr: _Transmission
+
+
 def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: float,
-                 tau_open: float | None, keep=None) -> tuple[list, list]:
+                 tau_open: float | None) -> _Solved:
     """The pipeline at a stack of points: ``energies``, and ``kidx`` the
     index of each point's k in ``leads`` (see :func:`_leads`).
 
@@ -337,18 +338,10 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
     through it once per distinct energy, and is read at every k of that
     energy.  The device goes through the device core
     (:func:`transport._device_stack`) in stacks of at most ``_STACK_ENTRIES``
-    complex entries, and g_rl is taken once per stack; only the
-    transmission, whose open-channel counts differ between points, runs
-    point by point.
-
-    A sweep passes ``keep(p, ch_l, ch_r, result)``, which turns each solved
-    point into what the sweep keeps, so that no point's channel objects
-    outlive it, and frees each lead's surface g before the device layer.
-    Without ``keep`` (the one point of :func:`solve_point`) the surface g is
-    kept and a solved point is (ch_l, ch_r, result, gdev).
-
-    Returns the lead core of each distinct lead and, per point, the error
-    :func:`solve_point` raises or the solved point.
+    complex entries, and the channels and transmission through the
+    transmission core (:func:`transport._transmission_stack`) as one stack.
+    A stack of more than one point (a sweep) frees each lead's surface g
+    before the next lead and the device layer; :func:`solve_point` reads it.
     """
     z = _complex(energies, eta)
     sides = []
@@ -362,37 +355,33 @@ def _solve_stack(model: Model, energies: Array, kidx: Array, leads: list, eta: f
         else:
             side, inverse = _lead_stack(_at(h00, kidx), _at(h01, kidx), z, True,
                                         _modes_at(modes, kidx)), None
-        if keep is not None:  # a sweep frees g before the next lead and the device layer
+        if len(z) > 1:  # a sweep: free g before the next lead and the device layer
             side = side._replace(g=None)
         if inverse is not None:
             side = side._make([None if x is None else x[inverse] for x in side[:-1]]
                               + [[side.errors[i] for i in inverse]])
         sides.append(side)
     left, right = sides[0], sides[-1]
-    out = [_first_error(a, b) for a, b in zip(left.errors, right.errors)]
-    idx = np.flatnonzero([err is None for err in out])
-    tau = _tau_open(tau_open, eta)
-    n_open = [_is_open(s.w[idx], tau).sum(axis=1) for s in sides]
-    eta_dev = [device_eta(a, b, eta) for a, b in zip(n_open[0], n_open[-1])]
+    errors = [_first_error(a, b) for a, b in zip(left.errors, right.errors)]
+    n_open = [_is_open(s.w, _tau_open(tau_open, eta)).sum(axis=1) for s in sides]
+    # the leads' self-energies supply the imaginary part while both are open
+    eta_dev = np.where((n_open[0] > 0) & (n_open[-1] > 0), 0.0, eta)
 
-    dev = model.device
+    dev, g = model.device, None
+    g_rl = np.empty((len(z), right.w.shape[1], left.w.shape[1]), dtype=complex)
+    ok = np.flatnonzero([err is None for err in errors])
     step = max(1, _STACK_ENTRIES // dev.n_device ** 2)
-    for start in range(0, len(idx), step):
-        sel, etas = idx[start:start + step], eta_dev[start:start + step]
-        g, g_rl, errors = _device_stack(dev, left.sigma[sel], right.sigma[sel],
-                                        _complex(energies[sel], etas))
-        for j, (p, eta_p, error) in enumerate(zip(sel, etas, errors)):
-            if error is not None:
-                out[p] = error
-                continue
-            e = float(energies[p])
-            ch = [_basis(s.w[p], s.v[p], e, eta, side, lead[3][kidx[p]], tau)
-                  for s, lead, side in zip(sides, leads, ("left", "right"))]
-            r = _transmission(g_rl[j], left.im[p], right.im[p], ch[0], ch[-1], e, eta_p)
-            out[p] = keep(p, ch[0], ch[-1], r) if keep is not None else (
-                ch[0], ch[-1], r, _green_function(dev, g[j], g_rl[j], e, eta_p))
-        del g  # one N x N device stack alive at a time
-    return sides, out
+    for start in range(0, len(ok), step):
+        sel = ok[start:start + step]
+        g = None  # one N x N device stack alive at a time
+        g, g_rl[sel], failed = _device_stack(dev, left.sigma[sel], right.sigma[sel],
+                                             _complex(energies[sel], eta_dev[sel]))
+        for p, error in zip(sel, failed):
+            errors[p] = error
+    done = np.flatnonzero([err is None for err in errors])
+    ch = [(s.w[done], fix_phase(s.v[done]), n[done]) for s, n in zip(sides, n_open)]
+    tr = _transmission_stack(g_rl[done], left.im[done], right.im[done], ch[0], ch[-1])
+    return _Solved(sides, errors, ch, eta_dev[done], g, g_rl[done], tr)
 
 
 def _leading_lambda(record: PointRecord) -> float:

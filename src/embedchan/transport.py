@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChannelBasis
+from .channels import ChannelBasis, _unit_flux
 from .embed import EmbeddingPotential, ImSigma
 from .errors import SingularSolveError
 from .model import Array, DeviceSpec
@@ -177,10 +178,62 @@ def t_matrix(g_rl: Array, channels_l: ChannelBasis, channels_r: ChannelBasis) ->
     T_ij = |t_ij|^2 real and the channel sum equal to the trace formula for
     complex momentum-resolved channels as well.
     """
-    ul, ur = channels_l.vectors_unit_flux, channels_r.vectors_unit_flux
-    lam_l, lam_r = channels_l.open_lambdas, channels_r.open_lambdas
-    core = ur.conj().T @ g_rl @ ul  # shape (n_open_r, n_open_l)
-    return 4j * (lam_l[:, None] * lam_r[None, :]) * core.T
+    return _t_stack(g_rl[None], channels_l.vectors_unit_flux[None], channels_l.open_lambdas[None],
+                    channels_r.vectors_unit_flux[None], channels_r.open_lambdas[None])[0]
+
+
+def _t_stack(g_rl: Array, ul: Array, lam_l: Array, ur: Array, lam_r: Array) -> Array:
+    """:func:`t_matrix` at a stack of points that share their open-channel
+    counts: unit-flux open channels ``ul``, ``ur`` and their lambdas."""
+    core = ur.conj().transpose(0, 2, 1) @ g_rl @ ul  # shape (B, n_open_r, n_open_l)
+    return 4j * (lam_l[:, :, None] * lam_r[:, None, :]) * core.transpose(0, 2, 1)
+
+
+class _Transmission(NamedTuple):
+    """The transmission core at a stack of points (see :func:`_transmission_stack`)."""
+
+    t: Array  # each point's t in the top left n_open_l x n_open_r corner of zeros (B, n_l, n_r)
+    channel_sum: Array
+    trace: Array
+    discrepancy: Array
+
+
+def _transmission_stack(g_rl: Array, im_l: Array, im_r: Array, left: tuple,
+                        right: tuple) -> _Transmission:
+    """The one transmission core at a stack of points: g_rl of shape
+    (B, n_r, n_l), ImSigma of each lead, and per lead ``(lambdas,
+    phase-fixed eigenvectors, open-channel counts)``.
+
+    A point's open channels are its first n_open eigenpairs (``eigh`` sorts
+    lambda ascending), so the points that share (n_open_l, n_open_r) share
+    the shapes of their t-matrices and go through :func:`_t_stack` as one
+    stack.  Every point gives the same bits alone as in a stack, so
+    :func:`transmission` is this core on a stack of one.
+    """
+    (w_l, v_l, n_open_l), (w_r, v_r, n_open_r) = left, right
+    b, n_r, n_l = g_rl.shape
+    t, total = np.zeros((b, n_l, n_r), complex), np.zeros(b)
+    pair = n_open_l * (n_r + 1) + n_open_r
+    for key in set(pair.tolist()):
+        grp, (kl, kr) = np.flatnonzero(pair == key), divmod(key, n_r + 1)
+        ul, ur = _unit_flux(w_l[grp], v_l[grp], kl), _unit_flux(w_r[grp], v_r[grp], kr)
+        t[grp, :kl, :kr] = tg = _t_stack(g_rl[grp], ul, w_l[grp, :kl], ur, w_r[grp, :kr])
+        total[grp] = (np.abs(tg) ** 2).reshape(len(grp), -1).sum(axis=1)
+    trace = np.real(4.0 * np.trace(im_l @ g_rl.conj().transpose(0, 2, 1) @ im_r @ g_rl,
+                                   axis1=1, axis2=2))
+    return _Transmission(t, total, trace, np.abs(total - trace))
+
+
+def _result(tr: _Transmission, p: int, n_open_l: int, n_open_r: int, energy: float,
+            eta: float) -> TransmissionResult:
+    """The read-only :class:`TransmissionResult` of point ``p`` of a
+    :func:`_transmission_stack`."""
+    t = tr.t[p, :n_open_l, :n_open_r].copy()
+    t_sq = np.abs(t) ** 2
+    for m in (t, t_sq):
+        m.setflags(write=False)
+    return TransmissionResult(t, t_sq, float(tr.channel_sum[p]), float(tr.trace[p]),
+                              float(tr.discrepancy[p]), energy, eta, n_open_l, n_open_r)
 
 
 def transmission(
@@ -196,27 +249,7 @@ def transmission(
     the two totals agree to numerical precision; their difference is reported
     as ``discrepancy``.
     """
-    return _transmission(gdev.g_rl, im_l.matrix, im_r.matrix, channels_l, channels_r,
-                         gdev.energy, gdev.eta)
-
-
-def _transmission(g_rl: Array, im_l: Array, im_r: Array, channels_l: ChannelBasis,
-                  channels_r: ChannelBasis, energy: float, eta: float) -> TransmissionResult:
-    """:func:`transmission` from the arrays it reads."""
-    t = t_matrix(g_rl, channels_l, channels_r)
-    t_sq = np.abs(t) ** 2
-    total_sum = float(t_sq.sum())
-    total_trace = float(np.real(4.0 * np.trace(im_l @ g_rl.conj().T @ im_r @ g_rl)))
-    for m in (t, t_sq):
-        m.setflags(write=False)
-    return TransmissionResult(
-        t=t,
-        t_squared=t_sq,
-        total_channel_sum=total_sum,
-        total_trace=total_trace,
-        discrepancy=abs(total_sum - total_trace),
-        energy=energy,
-        eta=eta,
-        n_open_l=channels_l.n_open,
-        n_open_r=channels_r.n_open,
-    )
+    ch = [(c.lambdas[None], c.vectors_unit_norm[None], np.array([c.n_open]))
+          for c in (channels_l, channels_r)]
+    tr = _transmission_stack(gdev.g_rl[None], im_l.matrix[None], im_r.matrix[None], *ch)
+    return _result(tr, 0, channels_l.n_open, channels_r.n_open, gdev.energy, gdev.eta)

@@ -1,15 +1,20 @@
 """Stacked sweeps and peak searches against the per-point chain they replace.
 
-The reference here is the chain ``solve_point`` used to run, built from the
-public per-point functions: ``embedding_potential`` per lead, the NSD guard
-of ``anti_hermitian_part``, a second ``eigh`` in ``channel_decomposition``,
-``device_green`` and ``transmission``.  The stacked pipeline changes no
+The reference here is the chain ``solve_point`` used to run: the public
+per-point functions ``embedding_potential`` per lead, the NSD guard of
+``anti_hermitian_part`` and ``device_green``, then the per-point channel and
+transmission tail kept below as it was before the tail was stacked (a
+column loop fixing each eigenvector's phase, the open mask, the t-matrix,
+both totals and the record of one point).  The stacked pipeline changes no
 arithmetic, so records must agree to the last bit, which ``repr`` of the
-records checks (floats repr round-trip).
+records checks (floats repr round-trip), and so must every array of a
+``PointSolution``.
 """
 
 import collections
+import dataclasses
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,15 +22,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from embedchan import (
+    ChannelBasis,
     DecimationError,
     EmbedchanError,
     HamiltonianBlocks,
     LatticeSpec,
     PointRecord,
     SingularSolveError,
+    TransmissionResult,
     anti_hermitian_part,
     build_lead_blocks,
-    channel_decomposition,
+    default_tau_open,
     device_green,
     embed,
     embedding_potential,
@@ -33,7 +40,6 @@ from embedchan import (
     solve_point,
     spectra,
     sweep,
-    transmission,
     transport,
 )
 from embedchan.embed import EmbeddingPotential
@@ -42,8 +48,53 @@ from embedchan.model import lead_blocks
 from helpers import chain_lead, dimer_model, ladder_impurity_model, strip_model
 
 
+def reference_fix_phase(vectors):
+    """Each column rotated so its largest-magnitude component is real positive."""
+    out = np.array(vectors, dtype=complex)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        i = int(np.argmax(np.abs(col)))
+        a = col[i]
+        if abs(a) > 0.0:
+            out[:, j] = col * (a.conjugate() / abs(a))
+            out[i, j] = abs(out[i, j])
+    return out
+
+
+def reference_channels(im, tau_open):
+    """The channel basis of one ImSigma: its own eigh, phase fix and open mask."""
+    (lam,), (vecs,) = np.linalg.eigh(im.matrix[None])
+    tau_open = float(default_tau_open(im.eta) if tau_open is None else tau_open)
+    vecs = reference_fix_phase(vecs)
+    open_mask = lam < -tau_open
+    lam_open = lam[open_mask]
+    u = vecs[:, open_mask] / np.sqrt(2.0 * np.abs(lam_open))[None, :] if lam_open.size else (
+        np.zeros((lam.shape[0], 0), dtype=complex))
+    return ChannelBasis(lam, vecs, open_mask, u, im.energy, im.eta, im.side, im.k, tau_open)
+
+
+def reference_transmission(gdev, im_l, im_r, ch_l, ch_r):
+    """The t-matrix and both totals of one point."""
+    ul, ur = ch_l.vectors_unit_flux, ch_r.vectors_unit_flux
+    core = ur.conj().T @ gdev.g_rl @ ul
+    t = 4j * (ch_l.open_lambdas[:, None] * ch_r.open_lambdas[None, :]) * core.T
+    t_sq = np.abs(t) ** 2
+    total_sum = float(t_sq.sum())
+    g_rl = gdev.g_rl
+    total_trace = float(np.real(4.0 * np.trace(im_l.matrix @ g_rl.conj().T @ im_r.matrix @ g_rl)))
+    return TransmissionResult(t, t_sq, total_sum, total_trace, abs(total_sum - total_trace),
+                              gdev.energy, gdev.eta, ch_l.n_open, ch_r.n_open)
+
+
+def reference_record(e, k, ch_l, ch_r, r):
+    return PointRecord(e=e, k=k, status="ok", lambdas_l=tuple(ch_l.lambdas.tolist()),
+                       lambdas_r=tuple(ch_r.lambdas.tolist()), n_open_l=ch_l.n_open,
+                       n_open_r=ch_r.n_open, t_trace=r.total_trace,
+                       t_channel_sum=r.total_channel_sum, discrepancy=r.discrepancy)
+
+
 def reference_point(model, e, eta, k=None, tau_open=None):
-    """The per-point chain solve_point used to run, from the public functions."""
+    """The per-point chain solve_point used to run."""
     blocks_l, blocks_r = lead_blocks(model.lead_l, k), lead_blocks(model.lead_r, k)
     same = spectra._same_blocks(blocks_l, blocks_r)
     sig_l = embedding_potential(blocks_l, e, eta, side="left")
@@ -51,11 +102,11 @@ def reference_point(model, e, eta, k=None, tau_open=None):
              else embedding_potential(blocks_r, e, eta, side="right"))
     im_l = anti_hermitian_part(sig_l)
     im_r = replace(im_l, side="right") if same else anti_hermitian_part(sig_r)
-    ch_l = channel_decomposition(im_l, tau_open)
-    ch_r = replace(ch_l, side="right") if same else channel_decomposition(im_r, tau_open)
+    ch_l = reference_channels(im_l, tau_open)
+    ch_r = replace(ch_l, side="right") if same else reference_channels(im_r, tau_open)
     gdev = device_green(model.device, sig_l, sig_r, e,
-                        spectra.device_eta(ch_l.n_open, ch_r.n_open, eta))
-    res = transmission(gdev, im_l, im_r, ch_l, ch_r)
+                        0.0 if ch_l.n_open and ch_r.n_open else eta)
+    res = reference_transmission(gdev, im_l, im_r, ch_l, ch_r)
     return spectra.PointSolution(sig_l, sig_r, im_l, im_r, ch_l, ch_r, res, gdev)
 
 
@@ -75,15 +126,7 @@ def reference_records(model, grid, eta, ks=(None,), tau_open=None):
             except EmbedchanError as exc:
                 out.append(PointRecord(e=float(e), k=k, status=f"error: {exc}"))
                 continue
-            r = sol.result
-            out.append(PointRecord(
-                e=float(e), k=k, status="ok",
-                lambdas_l=tuple(float(x) for x in sol.channels_l.lambdas),
-                lambdas_r=tuple(float(x) for x in sol.channels_r.lambdas),
-                n_open_l=sol.channels_l.n_open, n_open_r=sol.channels_r.n_open,
-                t_trace=r.total_trace, t_channel_sum=r.total_channel_sum,
-                discrepancy=r.discrepancy,
-            ))
+            out.append(reference_record(float(e), k, sol.channels_l, sol.channels_r, sol.result))
     return out
 
 
@@ -92,6 +135,27 @@ def assert_same_records(model, grid, eta, ks=None, tau_open=None):
     ref = reference_records(model, grid, eta, res.k_list, tau_open)
     assert repr(res.records) == repr(tuple(ref))
     return res
+
+
+def _bits(x):
+    """Every field of a (nested) result, arrays as dtype, shape, strides and bytes."""
+    if dataclasses.is_dataclass(x):
+        return tuple((f.name, _bits(getattr(x, f.name))) for f in dataclasses.fields(x))
+    if isinstance(x, np.ndarray):  # the layout fixes the bits of products taken later
+        return x.dtype.str, x.shape, x.strides if x.size else None, x.tobytes()
+    return repr(x)
+
+
+def assert_same_solution(model, e, eta, k=None, tau_open=None):
+    """solve_point has the reference's bits in every array, or its error text."""
+    try:
+        ref = reference_point(model, e, eta, k, tau_open)
+    except EmbedchanError as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            solve_point(model, e, eta, k, tau_open)
+        return None
+    assert _bits(solve_point(model, e, eta, k, tau_open)) == _bits(ref)
+    return ref
 
 
 def _cm(m):
@@ -166,10 +230,13 @@ def test_sweep_records_equal_per_point_loop(seed, case, eta, tau_open):
     res = assert_same_records(model, grid, eta, ks, tau_open)
     if case == "singular":
         assert any(not r.ok for r in res.records)
+    for e in grid[::4]:
+        assert_same_solution(model, e, eta, ks and ks[0], tau_open)
 
 
-def test_sweep_spanning_several_stacks_equals_per_point_loop():
-    # width-64 strip leads: 16 points per lead stack, 4 per device stack
+def _strip64_model(rng, t_l=1.0, t_r=1.0):
+    """Width-64 strip leads (hoppings t_l, t_r) on a disordered two-column
+    device: 16 points per lead stack, 4 per device stack."""
     w, n = 64, 128
     h = np.zeros((n, n))
     for c in range(2):
@@ -178,15 +245,62 @@ def test_sweep_spanning_several_stacks_equals_per_point_loop():
             h[a, a + 1] = h[a + 1, a] = -1.0
     for i in range(w):
         h[i, w + i] = h[w + i, i] = -1.0
-    h[np.diag_indices(n)] = np.random.default_rng(3).uniform(-0.5, 0.5, n)
+    h[np.diag_indices(n)] = rng.uniform(-0.5, 0.5, n)
     cl, cr = np.zeros((w, n)), np.zeros((w, n))
     cl[:, :w], cr[:, w:] = np.eye(w), np.eye(w)
-    lead = {"preset": "square_strip", "params": {"t": 1.0, "width": w}}
-    model = parse_model_dict({"lead_left": lead, "lead_right": lead,
-                              "device": {"h": h.tolist(), "coupling_left": cl.tolist(),
-                                         "coupling_right": cr.tolist()}})
+    lead_l, lead_r = ({"preset": "square_strip", "params": {"t": t, "width": w}}
+                      for t in (t_l, t_r))
     assert spectra._STACK_ENTRIES // w**2 < 20
+    return parse_model_dict({"lead_left": lead_l, "lead_right": lead_r,
+                             "device": {"h": h.tolist(), "coupling_left": cl.tolist(),
+                                        "coupling_right": cr.tolist()}})
+
+
+def test_sweep_spanning_several_stacks_equals_per_point_loop():
+    model = _strip64_model(np.random.default_rng(3))
     assert_same_records(model, np.linspace(-3.9, 3.9, 20), 1e-6)
+    for e in (-3.9, 0.3, 2.1):
+        assert_same_solution(model, e, 1e-6)
+
+
+def _banded_lead(rng, n, centre):
+    """n chains seen in a random unitary frame: chain i has on-site energy
+    within 0.75 of ``centre`` and a complex hopping of modulus 1.4 to 1.8,
+    so each of its n bands covers centre +- 2.05 and lies within
+    centre +- 4.35."""
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    eps = centre + rng.uniform(-0.75, 0.75, n)
+    t = rng.uniform(1.4, 1.8, n) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n))
+    return {"h00": _cm((q * eps) @ q.conj().T), "h01": _cm((q * t) @ q.conj().T)}
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), case=st.sampled_from(["banded"] * 4 + ["strip64"]),
+       eta=st.sampled_from([1e-6, 1e-8]), tau_open=st.sampled_from([None, 1e-3]))
+def test_tail_stacks_mixed_open_counts_as_per_point(seed, case, eta, tau_open):
+    # one stack whose points have different (n_open_l, n_open_r): the left
+    # bands cover [-3.8, 0.3] and lie within [-6.1, 2.6], the right ones
+    # mirror them, so E = -3.2, 0 and 3.2 have (n_l, 0), (n_l, n_r) and
+    # (0, n_r) open channels; points sharing n_open_l differ in n_open_r
+    rng = np.random.default_rng(seed)
+    if case == "strip64":
+        model = _strip64_model(rng, *rng.uniform(0.6, 1.4, 2))
+        grid = sorted(set(np.round(rng.uniform(-6.0, 6.0, 10), 6)))
+        points = grid[:2]
+    else:
+        nl, nr = (int(n) for n in rng.integers(1, 5, 2))
+        model = parse_model_dict({"lead_left": _banded_lead(rng, nl, -1.75),
+                                  "lead_right": _banded_lead(rng, nr, 1.75),
+                                  "device": _device(rng, nl, nr, int(rng.integers(0, 3)))})
+        grid = sorted(set(np.round(rng.uniform(-7.0, 7.0, int(rng.integers(12, 30))), 6))
+                      | {-3.2, 0.0, 3.2})
+        points = [-3.2, 0.0, 3.2, float(rng.choice(grid))]
+    res = assert_same_records(model, grid, eta, None, tau_open)
+    if case == "banded":
+        counts = {(r.n_open_l, r.n_open_r) for r in res.records if r.ok}
+        assert {(nl, 0), (nl, nr), (0, nr)} <= counts
+    for e in points:
+        assert_same_solution(model, e, eta, None, tau_open)
 
 
 @pytest.mark.parametrize("entries", [1, 4, 8, 50])

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -394,6 +395,21 @@ def test_bad_input_exits_1_with_one_line(tmp_path, capsys, content, argv, messag
     assert err.startswith(f"error: {message}")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["transmit"], ["channels"],
+                                  ["peaks", "--eta=1e-7", "--eta=1e-6"], ["validate"]])
+def test_span_beyond_float_range_exits_1_with_one_line(chain_file, tmp_path, capsys, argv):
+    # --emax - --emin overflows: linspace would warn twice on stderr and
+    # fill the grid with inf and NaN
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would print its own lines
+        code = run([argv[0], "--model", chain_file, "--out", str(out),
+                    "--emin=-1e308", "--emax=1e308", *argv[1:]])
+    assert code == 1
+    assert capsys.readouterr().err == "error: --emax - --emin must be finite\n"
     assert not out.exists()
 
 

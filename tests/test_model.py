@@ -14,11 +14,13 @@ from embedchan import (
     LatticeSpec,
     Model,
     ModelValidationError,
+    bloch_states,
     build_lead_blocks,
     model_hash,
     parse_model,
     parse_model_dict,
     serialize_model,
+    sweep,
 )
 
 from helpers import impurity_chain_model
@@ -210,6 +212,34 @@ def test_blocks_are_readonly():
     blocks = build_lead_blocks(model.lead_l)
     with pytest.raises(ValueError):
         blocks.h00[0, 0] = 5.0
+
+
+def test_constructors_copy_the_callers_complex_arrays():
+    # a complex input array used to become the model's own array, frozen in
+    # place: the caller could set it writeable again and change the model
+    # past its Hermiticity check, its results and its hash
+    h00, h01 = np.array([[0.2, 0.5], [0.5, -0.2]], complex), -np.eye(2, dtype=complex)
+    h = np.array([[0.1, -0.7j], [0.7j, -0.1]])
+    cl = np.array([[1.0, 0.0], [0.0, 0.0]], complex)
+    cr = np.array([[0.0, 0.0], [0.0, 1.0]], complex)
+    model = Model(LatticeSpec("explicit", h00=h00, h01=h01), LatticeSpec("chain", {"t": 1.0}),
+                  DeviceSpec(h_c=h, coupling_left=cl, coupling_right=np.array([[0.0, 1.0]])))
+    cr_model = Model(model.lead_l, model.lead_l,
+                     DeviceSpec(h_c=h, coupling_left=cl, coupling_right=cr))
+    blocks = HamiltonianBlocks(h00=h00, h01=h01)
+    grid = np.linspace(-2.5, 2.5, 11)
+
+    def outputs():
+        return (model_hash(model), model_hash(cr_model), repr(sweep(model, grid).records),
+                repr(sweep(cr_model, grid).records), repr(bloch_states(blocks, 0.3)),
+                blocks.h00.tobytes(), blocks.h01.tobytes())
+
+    before = outputs()
+    for a in (h00, h01, h, cl, cr):
+        assert a.flags.writeable
+        a[0, 1] = 7.0
+    assert outputs() == before
+    assert model.device.h_c[0, 1] == -0.7j and model.lead_l.h00[0, 1] == 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,39 @@ def test_fallback_point_on_singular_pencil_exits_2_with_one_line(flat_lead_file,
     assert run_cli(["scatter", "--model", flat_lead_file, "--e", "0.5"]) == 2
     err = capsys.readouterr().err
     assert err == "numerical failure: transfer pencil returned only 0 finite modes, need 2\n"
+
+
+# beyond |E| ~ 1e154 the Frobenius norm of A overflows; the backward-error
+# test then divides by inf and used to pass any eigenpair (bloch printed
+# beta = 5.55e-17 for a chain root near 1e-308 at E = 1e308)
+_HUGE_E = [1e155, -1e200, 1e308]
+
+
+@pytest.mark.parametrize("e", _HUGE_E)
+@pytest.mark.parametrize("kind", ["chain", "dimer_chain", "ladder"])
+def test_overflowing_pencil_norm_passes_no_eigenpair(kind, e):
+    blocks = build_lead_blocks(LatticeSpec(kind))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning on the way
+        beta, v = embed._pencil_eig(*embed._transfer_pencil(blocks.h00, blocks.h01, e))
+        assert np.isnan(beta).all() and np.isnan(v).all()
+        with pytest.raises(BlochSolveError, match="^defective or ill-conditioned Bloch pencil"):
+            bloch_states(blocks, e)
+        with pytest.raises(DecimationError, match="^transfer pencil returned only 0 finite modes"):
+            embed._mode_matching(blocks.h00, blocks.h01, complex(e, 1e-8))
+
+
+@pytest.mark.parametrize("e", _HUGE_E)
+def test_bloch_at_overflowing_energy_exits_2_with_one_line(tmp_path, capsys, e):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"lead_left": {"preset": "chain"}, "lead_right": {"preset": "chain"},
+                                "device": {"h": [[0.0]], "coupling_left": [[1.0]],
+                                           "coupling_right": [[1.0]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["bloch", "--model", str(path), f"--e={e!r}"]) == 2
+    assert capsys.readouterr().err == ("numerical failure: defective or ill-conditioned Bloch "
+                                       "pencil (cond A ~ inf, cond B ~ 1.00e+00)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
 
 import numpy as np
@@ -451,3 +453,33 @@ def test_identical_leads_sweep_matches_independent_right_side():
         sol = solve_point(model, r.e, 1e-6)
         _assert_right_side_independent(model, sol, r.e, 1e-6)
         assert r.lambdas_r == tuple(float(x) for x in sol.channels_r.lambdas)
+
+
+def _solution_bits(sol):
+    """Every float and array of a PointSolution, to the bit."""
+    parts = [sol.sig_l, sol.sig_r, sol.im_l, sol.im_r, sol.channels_l, sol.channels_r,
+             sol.result, sol.gdev]
+    return repr([(f.name, getattr(p, f.name).tobytes() if isinstance(getattr(p, f.name), np.ndarray)
+                  else getattr(p, f.name)) for p in parts for f in fields(p)])
+
+
+def test_concurrent_calls_on_shared_models_equal_serial():
+    # the README's concurrency statement: sweeps, points and peak searches
+    # run from four threads on the same model objects give the serial results
+    ladder, strip, dimer = perfect_ladder_model(), periodic_strip_model(), dimer_model(0.5, 1.5)
+    gap = np.linspace(-0.5, 0.5, 41) + 1.3e-4
+    tasks = [lambda: repr(sweep(ladder, np.linspace(-3.5, 3.5, 61), eta=1e-6)),
+             lambda: repr(sweep(strip, np.linspace(-3.0, 3.0, 31), eta=1e-6, k_list=[0.1, 1.2])),
+             lambda: repr(detect_peaks(dimer, gap, [1e-7, 1e-6]))]
+    tasks += [lambda e=e: _solution_bits(solve_point(ladder, e, 1e-8)) for e in (-1.7, 0.3, 2.2)]
+    tasks += [lambda e=e: _solution_bits(solve_point(strip, e, 1e-8, 0.4)) for e in (-0.9, 1.1)]
+    tasks *= 4
+    serial = [task() for task in tasks]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the numpy calls' Python glue
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(task) for task in tasks]
+            assert [f.result(timeout=120) for f in futures] == serial
+    finally:
+        sys.setswitchinterval(interval)
